@@ -20,6 +20,22 @@ using expr::Value;
 using gsql::DataType;
 namespace metric = telemetry::metric;
 
+namespace {
+
+/// Retries the punctuations parked on once-full `channels`, so windows
+/// close without waiting for the seal; returns how many were delivered.
+/// Parked messages are producer-side state: only the thread or process
+/// that produces into the channels may call this.
+size_t RetryParkedPunctuations(const std::vector<rts::Subscription>& channels) {
+  size_t delivered = 0;
+  for (const rts::Subscription& channel : channels) {
+    if (channel->has_parked() && channel->FlushParked()) ++delivered;
+  }
+  return delivered;
+}
+
+}  // namespace
+
 TupleSubscription::TupleSubscription(rts::Subscription channel,
                                      gsql::StreamSchema schema)
     : channel_(std::move(channel)), codec_(std::move(schema)) {}
@@ -120,12 +136,12 @@ Engine::~Engine() {
 }
 
 Status Engine::CheckMutable(const char* operation) const {
-  if (threads_running_) {
+  if (threads_running()) {
     return Status::FailedPrecondition(
         std::string(operation) +
         ": the worker pool is running; call StopThreads first");
   }
-  if (processes_running_) {
+  if (processes_running()) {
     return Status::FailedPrecondition(
         std::string(operation) +
         ": worker processes are running; they fork-share the structures "
@@ -290,9 +306,9 @@ Result<QueryInfo> Engine::AddQuery(
     std::string_view gsql_text,
     const std::map<std::string, expr::Value>& params) {
   GS_RETURN_IF_ERROR(CheckMutable("AddQuery"));
-  // True-up stage and telemetry bookkeeping if an earlier instantiation
-  // failed partway.
-  node_stages_.resize(nodes_.size(), NodeStage::kHfta);
+  // True-up placement and telemetry bookkeeping if an earlier
+  // instantiation failed partway.
+  placement_.resize(nodes_.size());
   RegisterNewNodeTelemetry();
   const size_t first_new_node = nodes_.size();
   GS_ASSIGN_OR_RETURN(gsql::Statement statement,
@@ -426,16 +442,16 @@ Result<QueryInfo> Engine::AddQuery(
     GS_RETURN_IF_ERROR(InstantiatePlan(split.lfta, lfta_output, &ctx));
     ctx.parent_local = false;
   }
-  // Nodes instantiated so far belong to the LFTA plan and stay on the
-  // inject thread in threaded mode; everything after runs on workers.
-  node_stages_.resize(nodes_.size(), NodeStage::kLfta);
+  // Nodes instantiated so far belong to the LFTA plan and always stay on
+  // the inject thread; the HFTA nodes after them may go to workers.
+  placement_.resize(nodes_.size(), NodePlacement{.lfta = true});
   if (split.hfta != nullptr) {
     GS_RETURN_IF_ERROR(EnsureSources(split.hfta));
     MarkProtocolFieldUses(split.hfta);
     ctx.use_lfta_table = false;
     GS_RETURN_IF_ERROR(InstantiatePlan(split.hfta, split.name, &ctx));
   }
-  node_stages_.resize(nodes_.size(), NodeStage::kHfta);
+  placement_.resize(nodes_.size());
 
   // Register the query's output schema in the catalog so later queries can
   // compose over it (§2.2).
@@ -845,16 +861,7 @@ Status Engine::InjectPacket(const std::string& interface_name,
   }
   MaybeEmitStats(packet.timestamp);
   MaybeRunShedCheck(packet.timestamp);
-  // Threaded mode: LFTAs run next to the capture loop (§4), so drive them
-  // here when this packet published anything; their outputs wake the HFTA
-  // workers.
-  if (published) {
-    if (threads_running_) {
-      PumpStage(NodeStage::kLfta, options_.worker_poll_budget);
-    } else if (processes_running_) {
-      PumpProcessRound(options_.worker_poll_budget);
-    }
-  }
+  if (published) PumpAfterInject();
   return Status::Ok();
 }
 
@@ -897,11 +904,7 @@ Status Engine::InjectHeartbeat(const std::string& interface_name,
   if (now > last_input_time_) last_input_time_ = now;
   MaybeEmitStats(now);
   MaybeRunShedCheck(now);
-  if (threads_running_) {
-    PumpStage(NodeStage::kLfta, options_.worker_poll_budget);
-  } else if (processes_running_) {
-    PumpProcessRound(options_.worker_poll_budget);
-  }
+  PumpAfterInject();
   return Status::Ok();
 }
 
@@ -915,11 +918,7 @@ Status Engine::InjectRow(const std::string& stream_name,
   message.kind = rts::StreamMessage::Kind::kTuple;
   codec.Encode(row, &message.payload);
   registry_.Publish(stream_name, message);
-  if (threads_running_) {
-    PumpStage(NodeStage::kLfta, options_.worker_poll_budget);
-  } else if (processes_running_) {
-    PumpProcessRound(options_.worker_poll_budget);
-  }
+  PumpAfterInject();
   return Status::Ok();
 }
 
@@ -935,11 +934,7 @@ Status Engine::InjectPunctuation(const std::string& stream_name, size_t field,
   punctuation.bounds.emplace_back(field, bound);
   registry_.Publish(stream_name,
                     rts::MakePunctuationMessage(punctuation, schema));
-  if (threads_running_) {
-    PumpStage(NodeStage::kLfta, options_.worker_poll_budget);
-  } else if (processes_running_) {
-    PumpProcessRound(options_.worker_poll_budget);
-  }
+  PumpAfterInject();
   return Status::Ok();
 }
 
@@ -948,11 +943,7 @@ Status Engine::EmitStatsSnapshot(SimTime now) {
   stats_source_->EmitSnapshot(now);
   last_stats_emit_ = now;
   if (now > last_input_time_) last_input_time_ = now;
-  if (threads_running_) {
-    PumpStage(NodeStage::kLfta, options_.worker_poll_budget);
-  } else if (processes_running_) {
-    PumpProcessRound(options_.worker_poll_budget);
-  }
+  PumpAfterInject();
   return Status::Ok();
 }
 
@@ -1012,18 +1003,9 @@ Status Engine::AddNode(std::unique_ptr<rts::QueryNode> node) {
   }
   nodes_.push_back(std::move(node));
   // Custom nodes read stream channels, not raw packets: worker stage.
-  node_stages_.resize(nodes_.size(), NodeStage::kHfta);
+  placement_.resize(nodes_.size());
   RegisterNewNodeTelemetry();
   return Status::Ok();
-}
-
-size_t Engine::PumpStage(NodeStage stage, size_t budget_per_node) {
-  size_t processed = 0;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (i < node_stages_.size() && node_stages_[i] != stage) continue;
-    processed += nodes_[i]->PollCounted(budget_per_node);
-  }
-  return processed;
 }
 
 bool Engine::FlushSourceBatches() {
@@ -1037,68 +1019,95 @@ bool Engine::FlushSourceBatches() {
   return published;
 }
 
+Engine::NodeGroup Engine::GroupOf(size_t owner) const {
+  NodeGroup group;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (OwnerOf(i) == owner) group.nodes.push_back(nodes_[i].get());
+  }
+  // A node publishes under its own name; streams no node produces (packet
+  // sources, gs_stats, declared streams) are fed by the inject thread.
+  for (const std::string& stream : registry_.StreamNames()) {
+    size_t producer = kInjectThread;
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i]->name() == stream) producer = OwnerOf(i);
+    }
+    if (producer != owner) continue;
+    for (rts::Subscription& channel : registry_.Subscribers(stream)) {
+      group.outputs.push_back(std::move(channel));
+    }
+  }
+  return group;
+}
+
+size_t Engine::PollInjectNodes(size_t budget_per_node) {
+  AdoptDegradedWorkers();
+  size_t processed = 0;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (OwnerOf(i) != kInjectThread) continue;
+    processed += nodes_[i]->PollCounted(budget_per_node);
+  }
+  return processed;
+}
+
+void Engine::PumpAfterInject() {
+  // LFTAs run next to the capture loop (§4). The single pump leaves the
+  // work to Pump, which keeps runs deterministic.
+  if (running_) PollInjectNodes(options_.worker_poll_budget);
+}
+
+size_t Engine::PollGroup(const NodeGroup& group) {
+  size_t processed = 0;
+  for (rts::QueryNode* node : group.nodes) {
+    processed += node->PollCounted(options_.worker_poll_budget);
+  }
+  return processed > 0 ? processed : RetryParkedPunctuations(group.outputs);
+}
+
 size_t Engine::Pump(size_t budget_per_node) {
   // A Pump is a request to make progress: injected tuples still sitting in
   // open source batches publish now rather than waiting for the batch-size
   // threshold (keeps inject→pump→read sequences working at any batch
   // size).
   FlushSourceBatches();
-  if (threads_running_) {
-    // Workers own the HFTA nodes; polling them here would add a second
-    // consumer to their SPSC channels.
-    return PumpStage(NodeStage::kLfta, budget_per_node);
-  }
-  if (processes_running_) return PumpProcessRound(budget_per_node);
-  size_t processed = 0;
-  for (auto& node : nodes_) {
-    processed += node->PollCounted(budget_per_node);
-  }
-  return processed;
+  return PollInjectNodes(budget_per_node);
 }
 
 void Engine::PumpUntilIdle() {
-  while (true) {
-    if (Pump() > 0) continue;
-    // Idle with space freed: retry punctuations parked on once-full rings
-    // so windows close without waiting for the seal. Parked punctuations
-    // may only be retried from their producing thread; with workers
-    // running the producers of intermediate rings are the workers, so this
-    // is deferred to FlushAll (which stops them first). In process mode
-    // the parent retries only the rings it produces into (sources, LFTA
-    // outputs, adopted nodes) — worker-produced rings' parked state lives
-    // in the worker's address space.
-    if (processes_running_) {
-      size_t flushed = 0;
-      for (const std::string& stream : parent_streams_) {
-        flushed += registry_.FlushParkedPunctuations(stream);
+  while (Pump() > 0 ||
+         RetryParkedPunctuations(GroupOf(kInjectThread).outputs) > 0) {
+  }
+}
+
+void Engine::DrainUntilIdle() {
+  for (;;) {
+    PumpUntilIdle();
+    if (supervisor_ == nullptr || !processes_running()) return;
+    size_t progress = 0;
+    for (size_t w = 0; w < supervisor_->workers(); ++w) {
+      if (GroupOf(w).nodes.empty()) continue;  // adopted
+      uint64_t acked = 0;
+      if (supervisor_->SendCommand(w, WorkerCommand::kDrain, 0, &acked)) {
+        progress += static_cast<size_t>(acked);
+      } else {
+        // Died or hung while draining: fail over and run one more round
+        // so the adopted nodes consume what their process left behind.
+        AdoptWorkerNodes(w, /*resync=*/true);
+        progress += 1;
       }
-      if (flushed > 0) continue;
-      break;
     }
-    if (!threads_running_ && registry_.FlushParkedPunctuations() > 0) {
-      continue;
-    }
-    break;
+    if (progress == 0) return;
   }
 }
 
 void Engine::FlushAll() {
   if (flushed_) return;  // idempotent: the engine is already sealed
-  if (processes_running_) {
-    FlushAllProcesses();
-    flushed_ = true;
-    return;
-  }
-  // Barrier: take the worker pool down first, then drain everything from
-  // this thread — deterministic regardless of worker scheduling, because
-  // channels hand over their remaining contents in FIFO order.
+  // Worker threads share this address space: once joined, their nodes
+  // belong to the inject thread with nothing to resynchronize.
   StopThreads();
-  PumpUntilIdle();  // also publishes any open source batches
-  // Deliver punctuations parked on once-full rings before flushing
-  // operator state, so windows close through ordinary bounds where
-  // possible. The loop ends when no parked punctuation could be placed
-  // (e.g. a full subscriber ring nobody drains).
-  while (registry_.FlushParkedPunctuations() > 0) PumpUntilIdle();
+  // From here a dying worker process degrades instead of restarting, so
+  // the flush below never waits on a respawn.
+  if (supervisor_ != nullptr && processes_running()) supervisor_->BeginSeal();
+  DrainUntilIdle();  // also publishes any open source batches
   // One terminal telemetry snapshot before the engine seals: the periodic
   // gate in MaybeEmitStats can skip the tail of the run, under-reporting
   // end-of-run counters to gs_stats consumers. Emitted before the node
@@ -1106,45 +1115,71 @@ void Engine::FlushAll() {
   if (options_.stats_period > 0) {
     stats_source_->EmitSnapshot(last_input_time_);
     last_stats_emit_ = last_input_time_;
-    PumpUntilIdle();
+    DrainUntilIdle();
   }
-  // Flush upstream-to-downstream, pumping between rounds so flushed state
-  // propagates through the chain.
-  for (auto& node : nodes_) {
-    node->Flush();
-    PumpUntilIdle();
+  // Flush upstream-to-downstream (nodes_ order), draining between nodes so
+  // flushed state propagates down the chain. A live worker process flushes
+  // its node on command; one that died or hangs mid-seal fails over — the
+  // inject thread adopts its pristine node copies, resynchronizes their
+  // inputs, and flushes locally.
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const size_t owner = OwnerOf(i);
+    if (owner == kInjectThread) {
+      nodes_[i]->Flush();
+    } else if (!supervisor_->SendCommand(owner, WorkerCommand::kFlushNode, i,
+                                         nullptr)) {
+      AdoptWorkerNodes(owner, /*resync=*/true);
+      nodes_[i]->Flush();
+    }
+    DrainUntilIdle();
   }
-  while (registry_.FlushParkedPunctuations() > 0) PumpUntilIdle();
+  // Anything still in the rings (a dead worker's unconsumed input,
+  // stragglers) drains in-process now. Cleanly sealed workers left their
+  // rings empty, so adopting without a resync changes nothing for them.
+  if (supervisor_ != nullptr && processes_running()) {
+    supervisor_->StopAll();
+    for (size_t w = 0; w < supervisor_->workers(); ++w) {
+      AdoptWorkerNodes(w, /*resync=*/false);
+    }
+  }
+  running_ = false;
+  PumpUntilIdle();
   flushed_ = true;
 }
 
-Status Engine::StartThreads(size_t workers) {
-  if (threads_running_) {
-    return Status::FailedPrecondition("worker pool is already running");
-  }
-  if (processes_running_) {
+Result<size_t> Engine::PlaceWorkers(PumpMode mode, size_t workers) {
+  const std::string operation =
+      mode == PumpMode::kThreads ? "StartThreads" : "StartProcesses";
+  if (running_) {
     return Status::FailedPrecondition(
-        "StartThreads: worker processes are running; the two pump modes "
-        "are exclusive");
+        operation + ": " +
+        (mode_ == PumpMode::kThreads ? "the worker pool is"
+                                     : "worker processes are") +
+        " already running; the pump modes are exclusive");
   }
-  GS_RETURN_IF_ERROR(CheckAcceptingInput("StartThreads"));
+  GS_RETURN_IF_ERROR(CheckAcceptingInput(operation.c_str()));
   if (workers == 0) {
-    return Status::InvalidArgument("StartThreads needs at least one worker");
+    return Status::InvalidArgument(operation + " needs at least one worker");
   }
-  node_stages_.resize(nodes_.size(), NodeStage::kHfta);
+  placement_.resize(nodes_.size());
+  size_t eligible = 0;
+  for (const NodePlacement& entry : placement_) {
+    if (!entry.lfta) ++eligible;
+  }
+  const size_t pool = std::min(workers, eligible);
+  size_t next = 0;
+  for (NodePlacement& entry : placement_) {
+    if (!entry.lfta) entry.owner = next++ % pool;
+  }
+  mode_ = mode;
+  running_ = true;
+  return pool;
+}
 
-  std::vector<rts::QueryNode*> hfta_nodes;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (node_stages_[i] == NodeStage::kHfta) {
-      hfta_nodes.push_back(nodes_[i].get());
-    }
-  }
+Status Engine::StartThreads(size_t workers) {
+  GS_ASSIGN_OR_RETURN(const size_t pool,
+                      PlaceWorkers(PumpMode::kThreads, workers));
   stop_workers_.store(false, std::memory_order_relaxed);
-  threads_running_ = true;
-  pump_mode_ = "threads";
-  if (hfta_nodes.empty()) return Status::Ok();  // everything is LFTA-stage
-
-  const size_t pool = std::min(workers, hfta_nodes.size());
   for (size_t w = 0; w < pool; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->waker = std::make_shared<rts::ConsumerWaker>();
@@ -1159,48 +1194,44 @@ Status Engine::StartThreads(size_t workers) {
     worker->park_ns = worker_park_ns_[w].get();
     workers_.push_back(std::move(worker));
   }
-  for (size_t i = 0; i < hfta_nodes.size(); ++i) {
-    workers_[i % pool]->nodes.push_back(hfta_nodes[i]);
-  }
   // Wire each worker-owned node's input channels to that worker's waker so
   // pushes (tuples and punctuations) un-park it. Done before the threads
   // start, so the writes are published by thread creation.
-  for (const auto& worker : workers_) {
-    for (rts::QueryNode* node : worker->nodes) {
-      for (const rts::Subscription& channel : node->inputs()) {
-        channel->SetWaker(worker->waker);
-      }
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (OwnerOf(i) == kInjectThread) continue;
+    for (const rts::Subscription& channel : nodes_[i]->inputs()) {
+      channel->SetWaker(workers_[OwnerOf(i)]->waker);
     }
   }
-  for (const auto& worker : workers_) {
-    worker->thread = std::thread(&Engine::WorkerLoop, this, worker.get());
+  for (size_t w = 0; w < pool; ++w) {
+    workers_[w]->thread = std::thread(&Engine::WorkerLoop, this, w);
   }
   return Status::Ok();
 }
 
 void Engine::StopThreads() {
-  if (!threads_running_) return;
+  if (!threads_running()) return;
   stop_workers_.store(true, std::memory_order_release);
   for (const auto& worker : workers_) worker->waker->Wake();
   for (const auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
   workers_.clear();
-  threads_running_ = false;
+  for (NodePlacement& entry : placement_) entry.owner = kInjectThread;
+  running_ = false;
 }
 
-void Engine::WorkerLoop(Worker* worker) {
+void Engine::WorkerLoop(size_t worker) {
+  Worker& self = *workers_[worker];
+  const NodeGroup group = GroupOf(worker);
   // Spin briefly on idle before parking; a push into any owned channel
-  // wakes the park, and the timeout bounds any lost-wakeup window.
+  // wakes the park, and the timeout bounds any lost-wakeup window (and how
+  // long a parked punctuation waits for its retry).
   constexpr int kSpinRounds = 64;
   constexpr std::chrono::microseconds kParkTimeout{200};
   int idle_rounds = 0;
   while (!stop_workers_.load(std::memory_order_acquire)) {
-    size_t processed = 0;
-    for (rts::QueryNode* node : worker->nodes) {
-      processed += node->PollCounted(options_.worker_poll_budget);
-    }
-    if (processed > 0) {
+    if (PollGroup(group) > 0) {
       idle_rounds = 0;
       continue;
     }
@@ -1209,83 +1240,35 @@ void Engine::WorkerLoop(Worker* worker) {
       continue;
     }
     const int64_t park_start = telemetry::MonotonicNowNs();
-    worker->waker->Park(kParkTimeout);
-    worker->park_ns->Record(
+    self.waker->Park(kParkTimeout);
+    self.park_ns->Record(
         static_cast<uint64_t>(telemetry::MonotonicNowNs() - park_start));
   }
 }
 
 Status Engine::StartProcesses(size_t workers) {
-  if (processes_running_) {
-    return Status::FailedPrecondition("worker processes are already running");
-  }
-  if (threads_running_) {
-    return Status::FailedPrecondition(
-        "StartProcesses: the threaded worker pool is running; call "
-        "StopThreads first");
-  }
-  GS_RETURN_IF_ERROR(CheckAcceptingInput("StartProcesses"));
   if (!options_.process.enabled) {
     return Status::FailedPrecondition(
         "StartProcesses needs EngineOptions::process.enabled at "
         "construction — inter-node rings must be shm-backed before queries "
         "are added");
   }
-  if (workers == 0) {
-    return Status::InvalidArgument(
-        "StartProcesses needs at least one worker");
-  }
+  GS_ASSIGN_OR_RETURN(const size_t pool,
+                      PlaceWorkers(PumpMode::kProcesses, workers));
   // Drain pending async jit compiles before forking: the children inherit
   // the already-published kernel pointers, and the compile worker thread
   // (which does not survive fork) must not hold the jit mutex mid-fork.
   jit_->WaitIdle();
-  node_stages_.resize(nodes_.size(), NodeStage::kHfta);
-  std::vector<size_t> hfta;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (node_stages_[i] == NodeStage::kHfta) hfta.push_back(i);
-  }
-  processes_running_ = true;
-  pump_mode_ = "processes";
-  node_adopted_.assign(nodes_.size(), 0);
-  process_groups_.clear();
-  worker_adopted_.clear();
-  worker_output_streams_.clear();
   adopted_resync_.store(0, std::memory_order_relaxed);
-  parent_streams_ = registry_.StreamNames();
-  if (hfta.empty()) return Status::Ok();  // everything is LFTA-stage
+  if (pool == 0) return Status::Ok();  // everything is LFTA-stage
 
-  const size_t pool = std::min(workers, hfta.size());
-  process_groups_.assign(pool, {});
-  for (size_t i = 0; i < hfta.size(); ++i) {
-    process_groups_[i % pool].push_back(hfta[i]);
-  }
-  worker_adopted_.assign(pool, 0);
-  worker_output_streams_.assign(pool, {});
-  for (size_t w = 0; w < pool; ++w) {
-    for (size_t idx : process_groups_[w]) {
-      worker_output_streams_[w].push_back(nodes_[idx]->name());
-    }
-  }
-  // The parent retries parked punctuations only on streams it produces
-  // into; strip worker-owned outputs from the starting set.
-  {
-    std::vector<std::string> parent;
-    for (const std::string& name : parent_streams_) {
-      bool worker_owned = false;
-      for (const auto& outputs : worker_output_streams_) {
-        for (const std::string& output : outputs) {
-          if (output == name) worker_owned = true;
-        }
-      }
-      if (!worker_owned) parent.push_back(name);
-    }
-    parent_streams_ = std::move(parent);
-  }
   // Tracer spans recorded in a child would die with its heap (and the
   // tracer's mutex must not be shared across fork); HFTA nodes run
   // untraced in process mode.
   if (tracer_ != nullptr) {
-    for (size_t idx : hfta) nodes_[idx]->SetTracer(nullptr, 0);
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      if (OwnerOf(i) != kInjectThread) nodes_[i]->SetTracer(nullptr, 0);
+    }
   }
   // Shm metrics arena: bind every worker-owned node's counters and
   // histograms into shared fixed slots *before* the fork, so the children
@@ -1305,9 +1288,9 @@ Status Engine::StartProcesses(size_t workers) {
     for (size_t w = 0; w < pool; ++w) {
       const size_t begin = metrics_arena_->allocated();
       const std::string proc = "w" + std::to_string(w);
-      for (size_t idx : process_groups_[w]) {
-        telemetry_.BindEntityToArena(nodes_[idx]->name(),
-                                     metrics_arena_.get(), proc);
+      for (const rts::QueryNode* node : GroupOf(w).nodes) {
+        telemetry_.BindEntityToArena(node->name(), metrics_arena_.get(),
+                                     proc);
       }
       worker_arena_ranges_[w] = {begin, metrics_arena_->allocated() - begin};
     }
@@ -1348,138 +1331,51 @@ Status Engine::StartProcesses(size_t workers) {
 }
 
 void Engine::StopProcesses() {
-  if (!processes_running_) return;
-  if (supervisor_ != nullptr) supervisor_->StopAll();
-  processes_running_ = false;
+  if (!processes_running()) return;
+  running_ = false;
+  if (supervisor_ == nullptr) return;
+  supervisor_->StopAll();
   // The children's operator state died with them; adopt every group with a
   // resync so in-process pumping resumes at a punctuation boundary.
-  for (size_t w = 0; w < process_groups_.size(); ++w) {
+  for (size_t w = 0; w < supervisor_->workers(); ++w) {
     AdoptWorkerNodes(w, /*resync=*/true);
   }
 }
 
 void Engine::AdoptWorkerNodes(size_t worker, bool resync) {
-  if (worker_adopted_[worker]) return;
-  worker_adopted_[worker] = 1;
-  for (size_t idx : process_groups_[worker]) {
-    node_adopted_[idx] = 1;
-    // The parent is the node's polling thread now; its metrics rows move
-    // under the parent's proc tag. The counters stay arena-bound (single
-    // writer again, just a different process), so the fold path still
-    // serves the reads.
-    telemetry_.SetEntityProc(nodes_[idx]->name(), telemetry::kProcRts);
+  bool adopted = false;
+  for (size_t i = 0; i < placement_.size(); ++i) {
+    if (placement_[i].owner != worker) continue;
+    placement_[i].owner = kInjectThread;
+    adopted = true;
+    // The inject thread is the node's polling thread now; its metrics rows
+    // move under the parent's proc tag. The counters stay arena-bound
+    // (single writer again, just a different process), so the fold path
+    // still serves the reads.
+    telemetry_.SetEntityProc(nodes_[i]->name(), telemetry::kProcRts);
     if (resync) {
-      for (const rts::Subscription& input : nodes_[idx]->inputs()) {
+      for (const rts::Subscription& input : nodes_[i]->inputs()) {
         input->BeginResync();
       }
     }
-    // The parent produces into the adopted node's output rings now.
-    parent_streams_.push_back(nodes_[idx]->name());
   }
-  if (resync) adopted_resync_.fetch_add(1, std::memory_order_relaxed);
+  if (adopted && resync) {
+    adopted_resync_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void Engine::AdoptDegradedWorkers() {
-  if (supervisor_ == nullptr) return;
-  for (size_t w = 0; w < process_groups_.size(); ++w) {
-    if (worker_adopted_[w]) continue;
+  if (supervisor_ == nullptr || !processes_running()) return;
+  for (size_t w = 0; w < supervisor_->workers(); ++w) {
     if (supervisor_->state(w) == Supervisor::WorkerState::kDegraded) {
       AdoptWorkerNodes(w, /*resync=*/true);
     }
   }
 }
 
-size_t Engine::PumpProcessRound(size_t budget_per_node) {
-  AdoptDegradedWorkers();
-  size_t processed = PumpStage(NodeStage::kLfta, budget_per_node);
-  for (size_t i = 0; i < node_adopted_.size(); ++i) {
-    if (node_adopted_[i]) processed += nodes_[i]->PollCounted(budget_per_node);
-  }
-  return processed;
-}
-
-void Engine::DrainProcessesUntilIdle() {
-  for (;;) {
-    // Pump() covers source batches, the LFTA stage, and adopted nodes.
-    size_t progress = Pump(options_.worker_poll_budget);
-    for (const std::string& stream : parent_streams_) {
-      progress += registry_.FlushParkedPunctuations(stream);
-    }
-    if (supervisor_ != nullptr) {
-      for (size_t w = 0; w < process_groups_.size(); ++w) {
-        if (worker_adopted_[w]) continue;
-        uint64_t acked = 0;
-        if (supervisor_->SendCommand(w, WorkerCommand::kDrain, 0, &acked)) {
-          progress += static_cast<size_t>(acked);
-        } else {
-          // Died or hung while draining: fail over and run one more round
-          // so the adopted nodes consume what their process left behind.
-          AdoptWorkerNodes(w, /*resync=*/true);
-          progress += 1;
-        }
-      }
-    }
-    if (progress == 0) return;
-  }
-}
-
-void Engine::FlushAllProcesses() {
-  // Seal first: from here a dying worker degrades instead of restarting,
-  // so the flush protocol below never waits on a respawn.
-  if (supervisor_ != nullptr) supervisor_->BeginSeal();
-  AdoptDegradedWorkers();
-  PumpUntilIdle();
-  if (options_.stats_period > 0) {
-    stats_source_->EmitSnapshot(last_input_time_);
-    last_stats_emit_ = last_input_time_;
-    PumpUntilIdle();
-  }
-  // Flush node-by-node in global upstream-first order (nodes_ order), so
-  // flushed state propagates down the chain exactly as in the
-  // single-process seal. Worker-owned nodes flush by command inside their
-  // owning process; a worker that died or hangs mid-seal fails over — the
-  // parent adopts its pristine node copies, resynchronizes their inputs,
-  // and flushes locally.
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    size_t owner = 0;
-    size_t local = 0;
-    bool parent_owned = true;
-    if (node_stages_[i] == NodeStage::kHfta && !node_adopted_[i]) {
-      for (size_t w = 0; w < process_groups_.size() && parent_owned; ++w) {
-        for (size_t l = 0; l < process_groups_[w].size(); ++l) {
-          if (process_groups_[w][l] == i) {
-            owner = w;
-            local = l;
-            parent_owned = false;
-            break;
-          }
-        }
-      }
-    }
-    if (parent_owned) {
-      nodes_[i]->Flush();
-    } else if (!supervisor_->SendCommand(owner, WorkerCommand::kFlushNode,
-                                         local, nullptr)) {
-      AdoptWorkerNodes(owner, /*resync=*/true);
-      nodes_[i]->Flush();
-    }
-    DrainProcessesUntilIdle();
-  }
-  if (supervisor_ != nullptr) supervisor_->StopAll();
-  processes_running_ = false;
-  // Anything still in the rings (a dead worker's unconsumed input,
-  // stragglers) drains in-process now. Cleanly sealed workers left their
-  // rings empty, so adopting without a resync changes nothing for them.
-  for (size_t w = 0; w < process_groups_.size(); ++w) {
-    AdoptWorkerNodes(w, /*resync=*/false);
-  }
-  PumpUntilIdle();
-  while (registry_.FlushParkedPunctuations() > 0) PumpUntilIdle();
-}
-
 void Engine::WorkerProcessLoop(size_t worker, uint32_t generation) {
   WorkerControl* ctrl = supervisor_->control(worker);
-  const std::vector<size_t>& group = process_groups_[worker];
+  const NodeGroup group = GroupOf(worker);
   // A restarted incarnation forked from the parent's pristine operator
   // state: the dead incarnation's partial groups are gone, so discard
   // mid-window input until the next punctuation boundary re-anchors the
@@ -1494,8 +1390,8 @@ void Engine::WorkerProcessLoop(size_t worker, uint32_t generation) {
                                  worker_arena_ranges_[worker].count,
                                  generation);
     }
-    for (size_t idx : group) {
-      for (const rts::Subscription& input : nodes_[idx]->inputs()) {
+    for (rts::QueryNode* node : group.nodes) {
+      for (const rts::Subscription& input : node->inputs()) {
         input->BeginResync();
       }
     }
@@ -1518,13 +1414,15 @@ void Engine::WorkerProcessLoop(size_t worker, uint32_t generation) {
     uint64_t seq = 0;
     switch (Supervisor::PendingCommand(ctrl, &arg, &seq)) {
       case WorkerCommand::kFlushNode:
-        if (arg < group.size()) nodes_[group[arg]]->Flush();
+        if (arg < nodes_.size() && OwnerOf(arg) == worker) {
+          nodes_[arg]->Flush();
+        }
         Supervisor::Ack(ctrl, seq,
-                        DrainWorkerNodes(worker, ctrl, &processed_total));
+                        DrainWorkerNodes(group, ctrl, &processed_total));
         continue;
       case WorkerCommand::kDrain:
         Supervisor::Ack(ctrl, seq,
-                        DrainWorkerNodes(worker, ctrl, &processed_total));
+                        DrainWorkerNodes(group, ctrl, &processed_total));
         continue;
       case WorkerCommand::kExit:
         Supervisor::Ack(ctrl, seq, 0);
@@ -1532,20 +1430,12 @@ void Engine::WorkerProcessLoop(size_t worker, uint32_t generation) {
       case WorkerCommand::kNone:
         break;
     }
-    size_t processed = 0;
-    for (size_t idx : group) {
-      processed += nodes_[idx]->PollCounted(options_.worker_poll_budget);
-    }
-    if (processed > 0) {
-      processed_total += processed;
+    const size_t progress = PollGroup(group);
+    if (progress > 0) {
+      processed_total += progress;
       ctrl->msgs_processed.store(processed_total, std::memory_order_relaxed);
       idle_rounds = 0;
       continue;
-    }
-    // Idle: retry punctuations parked on rings this worker produces into
-    // (parked state is producer-side and lives in this address space).
-    for (size_t idx : group) {
-      registry_.FlushParkedPunctuations(nodes_[idx]->name());
     }
     if (++idle_rounds < 64) {
       std::this_thread::yield();
@@ -1556,17 +1446,12 @@ void Engine::WorkerProcessLoop(size_t worker, uint32_t generation) {
   }
 }
 
-size_t Engine::DrainWorkerNodes(size_t worker, WorkerControl* control,
+size_t Engine::DrainWorkerNodes(const NodeGroup& group,
+                                WorkerControl* control,
                                 uint64_t* processed_total) {
   size_t total = 0;
   for (;;) {
-    size_t round = 0;
-    for (size_t idx : process_groups_[worker]) {
-      round += nodes_[idx]->PollCounted(options_.worker_poll_budget);
-    }
-    for (size_t idx : process_groups_[worker]) {
-      round += registry_.FlushParkedPunctuations(nodes_[idx]->name());
-    }
+    const size_t round = PollGroup(group);
     // A long drain must not read as a hang.
     control->heartbeat.store(
         control->heartbeat.load(std::memory_order_relaxed) + 1,

@@ -85,7 +85,8 @@ struct EngineOptions {
   int lfta_hash_log2 = 12;
   /// Packet sources emit a punctuation every this many packets.
   size_t punctuation_interval = 256;
-  /// Per-node poll budget for worker threads in the threaded pump mode.
+  /// Per-node poll budget of every worker (thread or process) and of the
+  /// inject thread's pump after each inject call while workers run.
   size_t worker_poll_budget = 1024;
   /// Batched data plane: source tuples accumulate into a StreamBatch that
   /// is published as one ring message once it holds this many tuples.
@@ -191,18 +192,21 @@ struct QueryInfo {
 ///   engine.PumpUntilIdle();
 ///   while (auto row = sub->NextRow()) { ... }
 ///
-/// The engine is single-threaded by default: InjectPacket enqueues work and
+/// Every node has exactly one owner in a placement table: the caller's
+/// inject thread, or one worker. Every channel therefore keeps a single
+/// producer and a single consumer (the lock-free SPSC ring contract). By
+/// default the inject thread owns every node: InjectPacket enqueues work and
 /// Pump drives every operator, which makes runs deterministic.
 ///
-/// StartThreads switches to the ThreadedEngine pump mode, mirroring the
-/// paper's §4 process split: source interpretation and LFTA nodes stay on
-/// the caller's inject thread (the paper links LFTAs into the RTS next to
-/// the capture loop) while HFTA nodes (join, merge, final aggregation) run
-/// on a worker pool connected through the lock-free SPSC ring channels.
-/// Each node is owned by exactly one worker, so every channel keeps a
-/// single producer thread and a single consumer thread. FlushAll is the
-/// drain barrier: it stops the workers, drains every channel
-/// deterministically on the calling thread, and seals the engine — after
+/// StartThreads and StartProcesses mirror the paper's §4 process split.
+/// Source interpretation and LFTA nodes stay with the inject thread (the
+/// paper links LFTAs into the RTS next to the capture loop). HFTA nodes
+/// (join, merge, final aggregation) are spread round-robin over worker
+/// threads or supervised worker processes. A worker process that exhausts
+/// its restart budget hands its nodes back to the inject thread. FlushAll
+/// is the drain barrier: it joins worker threads (their nodes return to the
+/// inject thread), flushes every node upstream-first (a live worker process
+/// flushes its own nodes on command), and seals the engine — after
 /// FlushAll, injection calls return FailedPrecondition and further
 /// FlushAll calls are no-ops.
 class Engine {
@@ -281,36 +285,43 @@ class Engine {
 
   // -- Execution ---------------------------------------------------------------
 
-  /// Runs one round over the operator nodes; returns messages processed.
-  /// In threaded mode only LFTA/source-stage nodes are pumped — HFTA
-  /// nodes belong to their workers (single-consumer rule).
+  /// Publishes open source batches and runs one round over the nodes the
+  /// inject thread owns; returns messages processed. Nodes a worker owns
+  /// are left to it (single-consumer rule); a degraded worker process's
+  /// nodes are adopted first.
   size_t Pump(size_t budget_per_node = 1024);
 
-  /// Pumps until no node makes progress (threaded mode: LFTA stage only).
+  /// Pumps the inject thread's nodes until none makes progress and no
+  /// punctuation parked on a ring the inject thread produces into can be
+  /// delivered.
   void PumpUntilIdle();
 
-  /// End-of-stream barrier: stops workers if threaded, drains every
-  /// channel, flushes buffered operator state (open groups, merge buffers)
-  /// downstream, and seals the engine. Idempotent; after it returns,
-  /// injection calls fail with FailedPrecondition.
+  /// End-of-stream barrier: joins worker threads, drains every channel,
+  /// flushes buffered operator state (open groups, merge buffers)
+  /// downstream node by node, stops worker processes, and seals the
+  /// engine. Idempotent; after it returns, injection calls fail with
+  /// FailedPrecondition.
   void FlushAll();
 
   // -- Threaded pump mode ------------------------------------------------------
 
-  /// Starts the worker pool (ThreadedEngine pump mode). Call after all
-  /// queries, custom nodes, and subscriptions are set up: while workers
-  /// run, AddQuery/AddNode/Subscribe/DeclareStream/ExecuteDdl/SetParam
-  /// return FailedPrecondition (they would mutate structures the workers
-  /// read lock-free). HFTA nodes are partitioned round-robin over
-  /// min(workers, hfta-node-count) threads; idle workers park and are
-  /// woken by pushes into their nodes' input channels.
+  /// Starts a worker-thread pool and hands it the HFTA nodes, round-robin
+  /// over min(workers, hfta-node-count) threads. Call after all queries,
+  /// custom nodes, and subscriptions are set up: while workers run,
+  /// AddQuery/AddNode/Subscribe/DeclareStream/ExecuteDdl/SetParam return
+  /// FailedPrecondition (they would mutate structures the workers read
+  /// lock-free). Idle workers park and are woken by pushes into their
+  /// nodes' input channels.
   Status StartThreads(size_t workers);
 
-  /// Stops and joins the worker pool. Undrained channel contents remain
-  /// and can be pumped single-threaded afterwards (FlushAll does this).
+  /// Stops and joins the worker pool; its nodes return to the inject
+  /// thread. Undrained channel contents remain and can be pumped
+  /// single-threaded afterwards (FlushAll does this).
   void StopThreads();
 
-  bool threads_running() const { return threads_running_; }
+  bool threads_running() const {
+    return running_ && mode_ == PumpMode::kThreads;
+  }
 
   // -- Multi-process pump mode -------------------------------------------------
 
@@ -326,11 +337,13 @@ class Engine {
   Status StartProcesses(size_t workers);
 
   /// Kills the worker processes without draining (FlushAll does both, in
-  /// order). Their in-flight operator state is lost; every group is
-  /// adopted in-process with a resync so later pumping stays consistent.
+  /// order). Their in-flight operator state is lost; the inject thread
+  /// adopts every group with a resync so later pumping stays consistent.
   void StopProcesses();
 
-  bool processes_running() const { return processes_running_; }
+  bool processes_running() const {
+    return running_ && mode_ == PumpMode::kProcesses;
+  }
 
   /// The process supervisor, or null unless StartProcesses ran.
   const Supervisor* supervisor() const { return supervisor_.get(); }
@@ -376,14 +389,31 @@ class Engine {
   std::string AnalyzeJson(bool mask_volatile = false) const;
 
  private:
-  /// Which pump stage a node belongs to in threaded mode: LFTA-stage nodes
-  /// run on the inject thread, HFTA-stage nodes on the worker pool.
-  enum class NodeStage : uint8_t { kLfta, kHfta };
+  enum class PumpMode : uint8_t { kSingle, kThreads, kProcesses };
+
+  /// Owner value of the nodes the caller's inject thread runs; any other
+  /// owner is a worker index.
+  static constexpr size_t kInjectThread = static_cast<size_t>(-1);
+
+  /// Placement table entry, parallel to nodes_. LFTA-stage nodes always
+  /// stay with the inject thread; StartThreads and StartProcesses spread
+  /// the others over their workers.
+  struct NodePlacement {
+    bool lfta = false;
+    size_t owner = kInjectThread;
+  };
+
+  /// The nodes one owner runs and the rings they produce into, resolved
+  /// once from the placement table so a worker's idle retry of parked
+  /// punctuations is a pointer walk.
+  struct NodeGroup {
+    std::vector<rts::QueryNode*> nodes;
+    std::vector<rts::Subscription> outputs;
+  };
 
   struct Worker {
     std::thread thread;
     std::shared_ptr<rts::ConsumerWaker> waker;
-    std::vector<rts::QueryNode*> nodes;
     /// Points into worker_park_ns_ (engine-owned): StopThreads clears
     /// workers_, but registered histogram readers must stay valid.
     telemetry::Histogram* park_ns = nullptr;
@@ -436,35 +466,47 @@ class Engine {
   Status CheckMutable(const char* operation) const;
   Status CheckAcceptingInput(const char* operation) const;
 
-  /// One poll round over nodes of `stage`; returns messages processed.
-  size_t PumpStage(NodeStage stage, size_t budget_per_node);
-  void WorkerLoop(Worker* worker);
+  // -- Placement -------------------------------------------------------------
+
+  size_t OwnerOf(size_t node) const {
+    return node < placement_.size() ? placement_[node].owner : kInjectThread;
+  }
+  NodeGroup GroupOf(size_t owner) const;
+  /// StartThreads/StartProcesses common part: checks that no workers run
+  /// and the engine accepts input, then assigns the non-LFTA nodes
+  /// round-robin to min(workers, count) workers. Returns that pool size (0
+  /// when the inject thread keeps every node).
+  Result<size_t> PlaceWorkers(PumpMode mode, size_t workers);
+  /// One poll round over the inject thread's nodes, after adopting the
+  /// nodes of degraded worker processes.
+  size_t PollInjectNodes(size_t budget_per_node);
+  /// The end of every inject call: with workers running, the inject thread
+  /// drives its nodes at once so their output reaches the workers.
+  void PumpAfterInject();
+  /// One round of a worker's loop: polls every node of `group`; when none
+  /// made progress, retries punctuations parked on the group's outputs.
+  /// Returns messages processed plus punctuations delivered.
+  size_t PollGroup(const NodeGroup& group);
+  void WorkerLoop(size_t worker);
+  /// FlushAll's drain step: PumpUntilIdle, then a kDrain command to every
+  /// live worker process, until a round makes no progress.
+  void DrainUntilIdle();
 
   // -- Multi-process internals ----------------------------------------------
 
-  /// The child process's pump loop: heartbeat, command mailbox, node
-  /// polling, parked-punctuation retries. Never returns (the child _exits
-  /// on kExit or dies by fault/crash).
+  /// The child process's pump loop: heartbeat, command mailbox, PollGroup.
+  /// Never returns (the child _exits on kExit or dies by fault/crash).
   void WorkerProcessLoop(size_t worker, uint32_t generation);
-  /// Child-side: pumps the worker's own nodes until idle (used for the
-  /// kFlushNode/kDrain commands); keeps heartbeating while it runs.
-  size_t DrainWorkerNodes(size_t worker, WorkerControl* control,
+  /// Child-side: runs PollGroup until idle (the kFlushNode/kDrain
+  /// commands); keeps heartbeating while it runs.
+  size_t DrainWorkerNodes(const NodeGroup& group, WorkerControl* control,
                           uint64_t* processed_total);
-  /// Parent-side failover: marks worker `w`'s nodes parent-owned; with
-  /// `resync` their inputs discard until the next punctuation boundary
-  /// (the dead process's partial state is unrecoverable).
+  /// Parent-side failover: hands worker `w`'s nodes to the inject thread;
+  /// with `resync` their inputs discard until the next punctuation
+  /// boundary (the dead process's partial state is unrecoverable).
   void AdoptWorkerNodes(size_t worker, bool resync);
   /// Adopts every worker the supervisor has declared degraded.
   void AdoptDegradedWorkers();
-  /// One parent-side pump round in process mode: LFTA stage plus any
-  /// adopted nodes.
-  size_t PumpProcessRound(size_t budget_per_node);
-  /// FlushAll's process-mode body: seal, drain, per-node flush commands in
-  /// global upstream order (failing over to adoption), stop, final drain.
-  void FlushAllProcesses();
-  /// Drives parent pumping and per-worker kDrain commands until no process
-  /// makes progress.
-  void DrainProcessesUntilIdle();
 
   /// Publishes every source's open batch (Pump and FlushAll call this so
   /// no injected tuple waits on the batch-size threshold once the engine
@@ -542,17 +584,17 @@ class Engine {
     plan::SplitQuery split;
   };
   std::vector<AnalyzePlan> analyze_plans_;
-  /// Last pump mode started, for the ANALYZE header ("single" until a
-  /// StartThreads/StartProcesses call).
-  const char* pump_mode_ = "single";
-  /// Parallel to nodes_: each node's pump stage.
-  std::vector<NodeStage> node_stages_;
+  /// Parallel to nodes_ (entries past its end are inject-owned).
+  std::vector<NodePlacement> placement_;
+  /// Last pump mode started (the ANALYZE header); running_ says whether its
+  /// workers are live.
+  PumpMode mode_ = PumpMode::kSingle;
+  bool running_ = false;
+  /// Worker threads (threads mode only).
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_workers_{false};
-  bool threads_running_ = false;
   // -- Multi-process mode state ---------------------------------------------
   std::unique_ptr<Supervisor> supervisor_;
-  bool processes_running_ = false;
   bool process_telemetry_registered_ = false;
   /// Shm metrics arena (process mode): created by the parent before any
   /// fork so children inherit counters bound into shared slots; the
@@ -567,16 +609,6 @@ class Engine {
     size_t count = 0;
   };
   std::vector<ArenaRange> worker_arena_ranges_;
-  /// nodes_ indices owned by each worker process.
-  std::vector<std::vector<size_t>> process_groups_;
-  /// Output stream names per worker (= its nodes' names): each process
-  /// retries parked punctuations only on rings it produces into.
-  std::vector<std::vector<std::string>> worker_output_streams_;
-  /// Streams the parent produces into (sources, LFTA outputs, gs_stats);
-  /// adopted nodes' outputs are appended as workers fail over.
-  std::vector<std::string> parent_streams_;
-  std::vector<char> worker_adopted_;
-  std::vector<char> node_adopted_;
   /// Degraded-worker adoptions (each one opens a resync gap, like a
   /// restart does); atomic because the gs_stats reader may run while the
   /// engine thread adopts.

@@ -39,8 +39,8 @@ struct SupervisorOptions {
 /// Parent -> child requests carried through the shm mailbox.
 enum class WorkerCommand : uint32_t {
   kNone = 0,
-  /// Flush the worker-local node at index `arg` of the worker's group and
-  /// drain; ack_value = messages processed while draining.
+  /// Flush engine node `arg` (one the worker owns) and drain; ack_value =
+  /// messages processed while draining.
   kFlushNode = 1,
   /// Pump the worker's nodes until idle; ack_value = messages processed.
   kDrain = 2,

@@ -68,26 +68,6 @@ size_t StreamRegistry::PublishBatch(const std::string& name,
   return accepted;
 }
 
-size_t StreamRegistry::FlushParkedPunctuations() {
-  size_t flushed = 0;
-  for (auto& [name, entry] : streams_) {
-    for (const Subscription& subscriber : entry.subscribers) {
-      if (subscriber->has_parked() && subscriber->FlushParked()) ++flushed;
-    }
-  }
-  return flushed;
-}
-
-size_t StreamRegistry::FlushParkedPunctuations(const std::string& name) {
-  auto it = streams_.find(name);
-  if (it == streams_.end()) return 0;
-  size_t flushed = 0;
-  for (const Subscription& subscriber : it->second.subscribers) {
-    if (subscriber->has_parked() && subscriber->FlushParked()) ++flushed;
-  }
-  return flushed;
-}
-
 std::vector<Subscription> StreamRegistry::Subscribers(
     const std::string& name) const {
   auto it = streams_.find(name);

@@ -58,24 +58,9 @@ class StreamRegistry {
   /// it; the ring parks a trailing punctuation instead of dropping it.
   size_t PublishBatch(const std::string& name, StreamBatch&& batch);
 
-  /// Retries every parked punctuation across all subscriber channels.
-  /// Returns how many were delivered by this call — callers loop
-  /// `while (FlushParkedPunctuations() > 0) <drain consumers>;` which
-  /// terminates once no further progress is possible (e.g. a full channel
-  /// nobody is consuming). Must run on the publishing thread (the parked
-  /// message is producer-side state), i.e. single-threaded pump only.
-  size_t FlushParkedPunctuations();
-
-  /// Same, restricted to the subscriber channels of one stream — the
-  /// multi-process engine uses this so each process only retries parked
-  /// punctuations on rings it produces into (parked messages are
-  /// producer-side heap state; touching another process's rings would
-  /// add a second producer).
-  size_t FlushParkedPunctuations(const std::string& name);
-
-  /// The subscriber channels of `name` (empty when unknown). Setup-time
-  /// and fault-injection plumbing; the channels themselves remain
-  /// single-producer/single-consumer.
+  /// The subscriber channels of `name` (empty when unknown). Setup-time,
+  /// placement and fault-injection plumbing; the channels themselves
+  /// remain single-producer/single-consumer.
   std::vector<Subscription> Subscribers(const std::string& name) const;
 
   std::vector<std::string> StreamNames() const;

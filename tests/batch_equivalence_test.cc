@@ -1,12 +1,15 @@
 // Batch-vs-per-tuple equivalence: the batched data plane is a pure
 // transport optimization, so the byte-exact sequence of emitted tuples AND
 // the positions of punctuations in every output stream must be identical
-// for any batch size, single-threaded or threaded. The baseline is batch
-// size 1 (per-tuple flow, the pre-batching data plane).
+// for any batch size and any placement of the HFTA nodes (single pump,
+// worker threads, worker processes). The baseline is batch size 1
+// (per-tuple flow, the pre-batching data plane) on the single pump.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -29,18 +32,50 @@ std::string RenderMessage(const rts::StreamMessage& message) {
   return text;
 }
 
+/// Where the engine runs its HFTA nodes.
+enum class Placement { kSingle, kThreads, kProcesses };
+
+const char* PlacementName(Placement placement) {
+  switch (placement) {
+    case Placement::kSingle:
+      return "single";
+    case Placement::kThreads:
+      return "threads";
+    case Placement::kProcesses:
+      return "processes";
+  }
+  return "?";
+}
+
+EngineOptions OptionsFor(Placement placement, size_t batch_size) {
+  EngineOptions options;
+  options.batch_max_size = batch_size;
+  // Worker processes need shm-backed rings from construction on.
+  options.process.enabled = placement == Placement::kProcesses;
+  return options;
+}
+
+/// Starts `workers` HFTA workers for `placement` (none for the single pump).
+void StartWorkers(Engine* engine, Placement placement, size_t workers) {
+  Status started = Status::Ok();
+  if (placement == Placement::kThreads) {
+    started = engine->StartThreads(workers);
+  } else if (placement == Placement::kProcesses) {
+    started = engine->StartProcesses(workers);
+  }
+  EXPECT_TRUE(started.ok()) << started.ToString();
+}
+
 /// Replays a fixed randomized workload through the engine at the given
-/// batch size / thread count and returns the full message trace of both
+/// batch size and placement, and returns the full message trace of both
 /// query outputs (a stateless filter and a split aggregation).
-std::vector<std::string> RunWorkload(size_t batch_size, size_t threads) {
+std::vector<std::string> RunWorkload(size_t batch_size, Placement placement) {
   workload::TrafficConfig config;
   config.seed = 11;
   config.num_flows = 40;
   workload::TrafficGenerator gen(config);
 
-  EngineOptions options;
-  options.batch_max_size = batch_size;
-  Engine engine(options);
+  Engine engine(OptionsFor(placement, batch_size));
   engine.AddInterface("eth0");
   EXPECT_TRUE(engine
                   .AddQuery("DEFINE { query_name filter; } "
@@ -56,10 +91,7 @@ std::vector<std::string> RunWorkload(size_t batch_size, size_t threads) {
   auto filter_out = engine.registry().Subscribe("filter", 1 << 15);
   auto agg_out = engine.registry().Subscribe("agg", 1 << 15);
   EXPECT_TRUE(filter_out.ok() && agg_out.ok());
-  if (threads > 0) {
-    Status started = engine.StartThreads(threads);
-    EXPECT_TRUE(started.ok()) << started.ToString();
-  }
+  StartWorkers(&engine, placement, 2);
 
   for (int i = 0; i < 4000; ++i) {
     net::Packet packet = gen.Next();
@@ -90,25 +122,28 @@ std::vector<std::string> RunWorkload(size_t batch_size, size_t threads) {
 }
 
 TEST(BatchEquivalenceTest, RowsAndPunctuationsMatchAcrossBatchSizes) {
-  // Baseline: per-tuple flow, single-threaded.
-  std::vector<std::string> baseline = RunWorkload(1, 0);
+  // Baseline: per-tuple flow on the single pump.
+  std::vector<std::string> baseline = RunWorkload(1, Placement::kSingle);
   ASSERT_FALSE(baseline.empty());
 
   const size_t kBatchSizes[] = {1, 7, 64, 4096};
   for (size_t batch_size : kBatchSizes) {
-    for (size_t threads : {size_t{0}, size_t{2}}) {
-      if (batch_size == 1 && threads == 0) continue;  // the baseline itself
-      std::vector<std::string> trace = RunWorkload(batch_size, threads);
-      EXPECT_EQ(trace, baseline)
-          << "batch_size=" << batch_size << " threads=" << threads;
+    for (Placement placement :
+         {Placement::kSingle, Placement::kThreads, Placement::kProcesses}) {
+      if (batch_size == 1 && placement == Placement::kSingle) {
+        continue;  // the baseline itself
+      }
+      std::vector<std::string> trace = RunWorkload(batch_size, placement);
+      EXPECT_EQ(trace, baseline) << "batch_size=" << batch_size
+                                 << " placement=" << PlacementName(placement);
     }
   }
 }
 
-net::Packet MakeTcpPacket(SimTime timestamp) {
+net::Packet MakeTcpPacket(SimTime timestamp, uint32_t dst_addr = 0x0a000001) {
   net::TcpPacketSpec spec;
   spec.src_addr = 0xac100001;
-  spec.dst_addr = 0x0a000001;
+  spec.dst_addr = dst_addr;
   spec.src_port = 40000;
   spec.dst_port = 80;
   spec.flags = net::kTcpFlagAck;
@@ -157,6 +192,76 @@ TEST(BatchEquivalenceTest, PunctuationStillClosesWindowWhenRingFills) {
   EXPECT_EQ((*row)[0].uint_value(), 0u);       // time bucket 0 closed
   EXPECT_GT((*row)[1].uint_value(), 0u);       // with the surviving tuples
   EXPECT_FALSE((*sub)->NextRow().has_value());  // exactly one group
+}
+
+/// A window-closing punctuation parked on a full subscriber ring must reach
+/// the subscriber through ordinary pumping under every placement: whoever
+/// produces into the ring (the inject thread, a worker thread, a worker
+/// process) retries it once the subscriber frees space — not only at the
+/// FlushAll seal.
+void ExpectParkedPunctuationDelivered(Placement placement) {
+  SCOPED_TRACE(PlacementName(placement));
+  Engine engine(OptionsFor(placement, 1));  // slot == tuple
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name agg; } "
+                            "SELECT tb, destIP, count(*) FROM eth0.PKT "
+                            "GROUP BY time AS tb, destIP")
+                  .ok());
+  auto sub = engine.registry().Subscribe("agg", 2);
+  ASSERT_TRUE(sub.ok());
+  StartWorkers(&engine, placement, 1);
+
+  // Eight groups in second 0; the heartbeat closes the window, so the HFTA
+  // emits eight tuples into a two-slot ring and parks the punctuation.
+  constexpr uint32_t kGroups = 8;
+  for (uint32_t i = 0; i < kGroups; ++i) {
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0",
+                                  MakeTcpPacket((i + 1) * kNanosPerSecond / 16,
+                                                0x0a000001 + i))
+                    .ok());
+  }
+  ASSERT_TRUE(engine.InjectHeartbeat("eth0", 2 * kNanosPerSecond).ok());
+
+  uint64_t tuples = 0;
+  bool punctuation = false;
+  rts::StreamMessage message;
+  auto drain = [&] {
+    while ((*sub)->TryPop(&message)) {
+      if (message.kind == rts::StreamMessage::Kind::kTuple) {
+        ++tuples;
+      } else {
+        punctuation = true;
+      }
+    }
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!punctuation && std::chrono::steady_clock::now() < deadline) {
+    drain();
+    engine.PumpUntilIdle();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  drain();
+  EXPECT_TRUE(punctuation) << "punctuation still parked after 2 s of pumping";
+
+  engine.FlushAll();
+  drain();
+  // Overload costs tuples, and every lost one is counted.
+  EXPECT_EQ(tuples + (*sub)->dropped(), kGroups);
+}
+
+TEST(BatchEquivalenceTest, ParkedPunctuationReachesSubscriberSinglePump) {
+  ExpectParkedPunctuationDelivered(Placement::kSingle);
+}
+
+TEST(BatchEquivalenceTest, ParkedPunctuationReachesSubscriberThreads) {
+  ExpectParkedPunctuationDelivered(Placement::kThreads);
+}
+
+TEST(BatchEquivalenceTest, ParkedPunctuationReachesSubscriberProcesses) {
+  ExpectParkedPunctuationDelivered(Placement::kProcesses);
 }
 
 }  // namespace
