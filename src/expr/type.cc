@@ -161,8 +161,6 @@ Result<DataType> PromoteNumeric(DataType left, DataType right) {
 }
 
 int64_t SaturatingDoubleToInt64(double v) {
-  // `v != v` instead of std::isnan so the native tier can emit the exact
-  // same expression without pulling <cmath> into generated code.
   if (v != v) return 0;
   if (v >= 9223372036854775808.0) return INT64_MAX;   // 2^63
   if (v < -9223372036854775808.0) return INT64_MIN;   // -2^63 is exact

@@ -98,8 +98,6 @@ class OrderedAggregateNode : public rts::QueryNode {
   size_t Poll(size_t budget) override;
   void Flush() override;
   void RegisterTelemetry(telemetry::Registry* metrics) const override;
-  void AttachJit(jit::QueryJit* jit) override;
-  void CountJitKernels(size_t* native, size_t* total) const override;
 
   size_t open_groups() const { return groups_.size(); }
   uint64_t groups_flushed() const { return groups_flushed_.value(); }
@@ -127,11 +125,6 @@ class OrderedAggregateNode : public rts::QueryNode {
   /// touching the (unsynchronized) group map.
   telemetry::Counter open_groups_;
 };
-
-/// Requests native kernels for an aggregation Spec's group-key and
-/// aggregate-argument expressions — the per-tuple hot loop of both the
-/// ordered (HFTA) and direct-mapped (LFTA) aggregates.
-void RequestAggKernels(OrderedAggregateNode::Spec* spec, jit::QueryJit* jit);
 
 }  // namespace gigascope::ops
 

@@ -46,6 +46,7 @@ TrafficGenerator::TrafficGenerator(const TrafficConfig& config)
       rng_(config.seed),
       flow_sampler_(std::max<uint32_t>(config.num_flows, 1),
                     config.flow_skew) {
+  GS_CHECK(config_.num_flows > 0);
   GS_CHECK(config_.offered_bits_per_sec > 0);
   flows_.reserve(config_.num_flows);
   for (uint32_t i = 0; i < config_.num_flows; ++i) {

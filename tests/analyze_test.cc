@@ -1,8 +1,8 @@
 // Golden-file tests for EXPLAIN ANALYZE: a deterministic workload runs
 // through the engine, and the annotated plan rendering (actual tuple
-// counts, ring health, jit-active tier, process placement) is compared
-// byte-for-byte against checked-in goldens with volatile fields (ring
-// occupancy, timings) masked. The JSON rendering is checked structurally.
+// counts, ring health, process placement) is compared byte-for-byte
+// against checked-in goldens with volatile fields (ring occupancy,
+// timings) masked. The JSON rendering is checked structurally.
 //
 // Regenerate after an intentional change:
 //   GS_UPDATE_GOLDENS=1 ./build/tests/analyze_test

@@ -6,6 +6,8 @@
 // for the EXPLAIN ANALYZE artifact, and by the README monitoring
 // quickstart so the examples work without a capture interface.
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,12 +29,18 @@ void Usage() {
       "deterministic for a given seed; ~40%% of packets hit port 80.\n");
 }
 
+/// Parses `prefix` followed by a plain decimal number. strtoull alone would
+/// accept a sign (wrapping "-1" to 2^64-1) and saturate out-of-range input,
+/// so the value must start with a digit and fit in 64 bits.
 bool ParseNumericFlag(const char* arg, const char* prefix, size_t* out) {
   size_t len = std::strlen(prefix);
   if (std::strncmp(arg, prefix, len) != 0) return false;
+  const char* digits = arg + len;
+  if (*digits < '0' || *digits > '9') return false;
   char* end = nullptr;
-  unsigned long long value = std::strtoull(arg + len, &end, 10);
-  if (end == arg + len || *end != '\0') return false;
+  errno = 0;
+  unsigned long long value = std::strtoull(digits, &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
   *out = static_cast<size_t>(value);
   return true;
 }
@@ -66,7 +74,8 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (out_path.empty() || packets == 0 || flows == 0 || mbps == 0) {
+  if (out_path.empty() || packets == 0 || flows == 0 || flows > UINT32_MAX ||
+      mbps == 0) {
     Usage();
     return 1;
   }
