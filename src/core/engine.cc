@@ -22,6 +22,14 @@ namespace metric = telemetry::metric;
 
 namespace {
 
+/// Per-node poll budget of every worker (thread or process) and of the
+/// inject thread's pump after each inject call while workers run.
+constexpr size_t kWorkerPollBudget = 1024;
+
+/// Seed of the tracer's sampling RNG: the same injection sequence traces
+/// the same packets.
+constexpr uint64_t kTraceSeed = 42;
+
 /// Retries the punctuations parked on once-full `channels`, so windows
 /// close without waiting for the seal; returns how many were delivered.
 /// Parked messages are producer-side state: only the thread or process
@@ -70,7 +78,7 @@ Engine::Engine(EngineOptions options) : options_(options) {
                       stats_source_->snapshots_counter());
   if (options_.trace_sample > 0) {
     tracer_ = std::make_unique<telemetry::Tracer>(options_.trace_sample,
-                                                  options_.trace_seed);
+                                                  kTraceSeed);
     tracer_->SetTrackName(0, "inject");
     telemetry_.Register("engine", metric::kTraceSampled,
                         tracer_->sampled_counter());
@@ -95,18 +103,17 @@ Engine::Engine(EngineOptions options) : options_(options) {
     // the rings forked worker processes inherit are shared, not copied.
     rts::ShmRingOptions shm;
     shm.enabled = true;
-    shm.max_slots = options_.process.shm_max_slots;
-    shm.slot_bytes = options_.process.shm_slot_bytes;
     registry_.SetChannelOptions(shm);
     // Ring-health counters live in the shm control blocks, so the parent's
     // aggregate readers see child-side progress.
-    telemetry_.RegisterReader("engine", metric::kTornSlots,
-                              [this] { return registry_.TotalTornAll(); });
+    telemetry_.RegisterReader("engine", metric::kTornSlots, [this] {
+      return registry_.SumAll(&rts::RingChannel::torn);
+    });
     telemetry_.RegisterReader("engine", metric::kResyncDropped, [this] {
-      return registry_.TotalResyncDroppedAll();
+      return registry_.SumAll(&rts::RingChannel::resync_dropped);
     });
     telemetry_.RegisterReader("engine", metric::kOversizeDropped, [this] {
-      return registry_.TotalOversizeDroppedAll();
+      return registry_.SumAll(&rts::RingChannel::oversize_dropped);
     });
   }
 }
@@ -504,31 +511,10 @@ Result<std::unique_ptr<TupleSubscription>> Engine::Subscribe(
   }
   GS_ASSIGN_OR_RETURN(rts::Subscription channel,
                       registry_.Subscribe(stream_name, capacity));
-  // Subscriber-side channels are observable too; the readers share
-  // ownership so the ring outlives any snapshot.
-  std::string entity =
-      stream_name + "#sub" + std::to_string(subscriber_seq_++);
-  rts::Subscription shared = channel;
-  const std::string ring = metric::kRingPrefix;
-  telemetry_.RegisterReader(entity, ring + metric::kRingPushedSuffix,
-                            [shared] { return shared->pushed(); });
-  telemetry_.RegisterReader(entity, ring + metric::kRingDroppedSuffix,
-                            [shared] { return shared->dropped(); });
-  telemetry_.RegisterReader(entity, ring + metric::kRingSizeSuffix,
-                            [shared] {
-                              return static_cast<uint64_t>(shared->size());
-                            });
-  telemetry_.RegisterReader(entity, ring + metric::kRingHighWaterSuffix,
-                            [shared] {
-                              return static_cast<uint64_t>(
-                                  shared->high_water_mark());
-                            });
-  telemetry_.RegisterHistogram(
-      entity, ring + metric::kRingOccupancySuffix,
-      [shared] { return shared->occupancy_histogram().Snapshot(); });
-  telemetry_.RegisterHistogram(
-      entity, ring + metric::kRingBatchSizeSuffix,
-      [shared] { return shared->batch_size_histogram().Snapshot(); });
+  // Subscriber-side channels are observable too.
+  rts::RegisterRingMetrics(
+      &telemetry_, stream_name + "#sub" + std::to_string(subscriber_seq_++),
+      metric::kRingPrefix, channel);
   return std::make_unique<TupleSubscription>(std::move(channel),
                                              std::move(schema));
 }
@@ -687,6 +673,32 @@ rts::Row InterpretPacket(const gsql::StreamSchema& schema,
   return InterpretPacket(BuildInterpretPlan(schema), packet);
 }
 
+rts::Punctuation Engine::TimePunctuation(ProtocolSource* source,
+                                         SimTime now) {
+  rts::Punctuation punctuation;
+  for (size_t f = 0; f < source->schema.num_fields(); ++f) {
+    const gsql::FieldDef& field = source->schema.field(f);
+    if (!field.order.IsIncreasingLike()) continue;
+    if (field.name == "time") {
+      const auto sec = static_cast<uint64_t>(SimTimeToSeconds(now));
+      punctuation.bounds.emplace_back(f, Value::Uint(sec));
+      source->last_punct_sec.Set(sec);
+    } else if (field.name == "timestamp") {
+      punctuation.bounds.emplace_back(f,
+                                      Value::Uint(static_cast<uint64_t>(now)));
+    }
+  }
+  return punctuation;
+}
+
+void Engine::SealSourceBatch(ProtocolSource* source,
+                             rts::StreamMessage punctuation, SimTime now) {
+  source->open_batch.items.push_back(std::move(punctuation));
+  registry_.PublishBatch(source->stream_name, std::move(source->open_batch));
+  source->open_batch.items.clear();
+  source->last_punct_time = now;
+}
+
 Status Engine::InjectPacket(const std::string& interface_name,
                             const net::Packet& packet) {
   GS_RETURN_IF_ERROR(CheckAcceptingInput("InjectPacket"));
@@ -734,26 +746,12 @@ Status Engine::InjectPacket(const std::string& interface_name,
       ++shed_tuples_;
       if (options_.punctuation_interval > 0 &&
           source.packets.value() % options_.punctuation_interval == 0) {
-        rts::Punctuation punctuation;
-        for (size_t f = 0; f < source.schema.num_fields(); ++f) {
-          const gsql::FieldDef& field = source.schema.field(f);
-          if (!field.order.IsIncreasingLike()) continue;
-          if (field.name == "time") {
-            const auto sec = static_cast<uint64_t>(
-                SimTimeToSeconds(effective->timestamp));
-            punctuation.bounds.emplace_back(f, Value::Uint(sec));
-            source.last_punct_sec.Set(sec);
-          } else if (field.name == "timestamp") {
-            punctuation.bounds.emplace_back(
-                f, Value::Uint(static_cast<uint64_t>(effective->timestamp)));
-          }
-        }
+        const rts::Punctuation punctuation =
+            TimePunctuation(&source, effective->timestamp);
         if (!punctuation.bounds.empty()) {
-          source.open_batch.items.push_back(
-              rts::MakePunctuationMessage(punctuation, source.schema));
-          registry_.PublishBatch(stream_name, std::move(source.open_batch));
-          source.open_batch.items.clear();
-          source.last_punct_time = effective->timestamp;
+          SealSourceBatch(
+              &source, rts::MakePunctuationMessage(punctuation, source.schema),
+              effective->timestamp);
           published = true;
         }
       }
@@ -785,10 +783,9 @@ Status Engine::InjectPacket(const std::string& interface_name,
       source.punct_lag.Record(static_cast<uint64_t>(effective->timestamp -
                                                     source.last_punct_time));
     }
-    bool flush = source.open_batch.items.size() >= options_.batch_max_size;
+    rts::Punctuation punctuation;
     if (options_.punctuation_interval > 0 &&
         source.packets.value() % options_.punctuation_interval == 0) {
-      rts::Punctuation punctuation;
       for (size_t f = 0; f < source.schema.num_fields(); ++f) {
         const gsql::OrderSpec& order = source.schema.field(f).order;
         if (!order.IsIncreasingLike()) continue;
@@ -798,26 +795,22 @@ Status Engine::InjectPacket(const std::string& interface_name,
           source.last_punct_sec.Set(source.last_row[f].uint_value());
         }
       }
-      if (!punctuation.bounds.empty()) {
-        rts::StreamMessage punct_message =
-            rts::MakePunctuationMessage(punctuation, source.schema);
-        // Punctuation triggered by a traced packet carries its context:
-        // aggregate groups flushed by this punctuation downstream inherit
-        // the trace, so e2e latency covers inject -> group close even when
-        // the close is punctuation-driven.
-        punct_message.trace_id = trace_id;
-        punct_message.trace_ns = trace_ns;
-        source.open_batch.items.push_back(std::move(punct_message));
-        source.last_punct_time = effective->timestamp;
-        flush = true;
-      }
     }
-    if (!flush && options_.batch_max_delay > 0 &&
-        effective->timestamp - source.batch_open_time >=
-            options_.batch_max_delay) {
-      flush = true;
-    }
-    if (flush) {
+    if (!punctuation.bounds.empty()) {
+      rts::StreamMessage punct_message =
+          rts::MakePunctuationMessage(punctuation, source.schema);
+      // Punctuation triggered by a traced packet carries its context:
+      // aggregate groups flushed by this punctuation downstream inherit
+      // the trace, so e2e latency covers inject -> group close even when
+      // the close is punctuation-driven.
+      punct_message.trace_id = trace_id;
+      punct_message.trace_ns = trace_ns;
+      SealSourceBatch(&source, std::move(punct_message), effective->timestamp);
+      published = true;
+    } else if (source.open_batch.items.size() >= options_.batch_max_size ||
+               (options_.batch_max_delay > 0 &&
+                effective->timestamp - source.batch_open_time >=
+                    options_.batch_max_delay)) {
       registry_.PublishBatch(stream_name, std::move(source.open_batch));
       source.open_batch.items.clear();
       published = true;
@@ -843,28 +836,13 @@ Status Engine::InjectHeartbeat(const std::string& interface_name,
   for (auto& [stream_name, source] : protocol_sources_) {
     if (stream_name.rfind(interface_name + ".", 0) != 0) continue;
     any = true;
-    rts::Punctuation punctuation;
-    for (size_t f = 0; f < source.schema.num_fields(); ++f) {
-      const gsql::FieldDef& field = source.schema.field(f);
-      if (!field.order.IsIncreasingLike()) continue;
-      if (field.name == "time") {
-        punctuation.bounds.emplace_back(
-            f, Value::Uint(static_cast<uint64_t>(SimTimeToSeconds(now))));
-        source.last_punct_sec.Set(
-            static_cast<uint64_t>(SimTimeToSeconds(now)));
-      } else if (field.name == "timestamp") {
-        punctuation.bounds.emplace_back(
-            f, Value::Uint(static_cast<uint64_t>(now)));
-      }
-    }
+    const rts::Punctuation punctuation = TimePunctuation(&source, now);
     if (!punctuation.bounds.empty()) {
       // The punctuation closes (and flushes) the source's open batch so it
       // arrives after every tuple injected before the heartbeat.
-      source.open_batch.items.push_back(
-          rts::MakePunctuationMessage(punctuation, source.schema));
-      registry_.PublishBatch(stream_name, std::move(source.open_batch));
-      source.open_batch.items.clear();
-      source.last_punct_time = now;
+      SealSourceBatch(&source,
+                      rts::MakePunctuationMessage(punctuation, source.schema),
+                      now);
     }
   }
   if (!any) {
@@ -1023,13 +1001,13 @@ size_t Engine::PollInjectNodes(size_t budget_per_node) {
 void Engine::PumpAfterInject() {
   // LFTAs run next to the capture loop (§4). The single pump leaves the
   // work to Pump, which keeps runs deterministic.
-  if (running_) PollInjectNodes(options_.worker_poll_budget);
+  if (running_) PollInjectNodes(kWorkerPollBudget);
 }
 
 size_t Engine::PollGroup(const NodeGroup& group) {
   size_t processed = 0;
   for (rts::QueryNode* node : group.nodes) {
-    processed += node->PollCounted(options_.worker_poll_budget);
+    processed += node->PollCounted(kWorkerPollBudget);
   }
   return processed > 0 ? processed : RetryParkedPunctuations(group.outputs);
 }

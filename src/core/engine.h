@@ -16,6 +16,7 @@
 #include "plan/explain.h"
 #include "plan/splitter.h"
 #include "rts/node.h"
+#include "rts/punctuation.h"
 #include "rts/registry.h"
 #include "rts/shed_state.h"
 #include "rts/tuple.h"
@@ -53,15 +54,9 @@ class TupleSubscription {
 /// Multi-process HFTA execution (the paper's §4 model: HFTAs are
 /// application processes fed through shared memory). Enabled at engine
 /// construction so every inter-node ring created while queries are added
-/// is shm-backed and fork-shareable.
+/// is shm-backed and fork-shareable, with ShmRingOptions' default geometry.
 struct ProcessOptions {
   bool enabled = false;
-  /// Shm ring geometry: slot count per ring (subscription capacities are
-  /// clamped to this) and payload bytes per slot (larger batches split
-  /// across slots; a single message over this limit is dropped and
-  /// counted).
-  size_t shm_max_slots = 32768;
-  size_t shm_slot_bytes = 16 * 1024;
   /// Shm metrics arena capacity, in metric slots (16 bytes each). Worker
   /// node counters and histograms bind into the arena before the fork, so
   /// the parent's registry folds live child-side values (monotone across
@@ -84,9 +79,6 @@ struct EngineOptions {
   int lfta_hash_log2 = 12;
   /// Packet sources emit a punctuation every this many packets.
   size_t punctuation_interval = 256;
-  /// Per-node poll budget of every worker (thread or process) and of the
-  /// inject thread's pump after each inject call while workers run.
-  size_t worker_poll_budget = 1024;
   /// Batched data plane: source tuples accumulate into a StreamBatch that
   /// is published as one ring message once it holds this many tuples.
   /// Operators reuse the same bound for their output batches. 1 restores
@@ -111,9 +103,6 @@ struct EngineOptions {
   /// The resulting trace exports as Chrome trace-event JSON
   /// (Engine::tracer()->WriteJson), loadable in Perfetto.
   size_t trace_sample = 0;
-  /// Seed of the tracer's sampling RNG; same seed + same injection
-  /// sequence = same packets traced.
-  uint64_t trace_seed = 42;
   /// Closed-loop overload management (§3 graceful degradation): with
   /// shed.enabled the engine periodically evaluates its own telemetry
   /// (ring occupancy, drops, punctuation lag, LFTA table occupancy)
@@ -496,6 +485,16 @@ class Engine {
   void AdoptWorkerNodes(size_t worker, bool resync);
   /// Adopts every worker the supervisor has declared degraded.
   void AdoptDegradedWorkers();
+
+  /// A time-only punctuation at `now` for heartbeats and shed packets:
+  /// bounds on the source's `time` (seconds) and `timestamp` fields.
+  /// Records the seconds bound in last_punct_sec.
+  static rts::Punctuation TimePunctuation(ProtocolSource* source,
+                                          SimTime now);
+  /// Closes the source's open batch with `punctuation`, publishes it, and
+  /// records `now` as the source's last punctuation time.
+  void SealSourceBatch(ProtocolSource* source, rts::StreamMessage punctuation,
+                       SimTime now);
 
   /// Publishes every source's open batch (Pump and FlushAll call this so
   /// no injected tuple waits on the batch-size threshold once the engine

@@ -1,6 +1,10 @@
 #include "rts/registry.h"
 
+#include "telemetry/metric_names.h"
+
 namespace gigascope::rts {
+
+namespace metric = telemetry::metric;
 
 Status StreamRegistry::DeclareStream(const gsql::StreamSchema& schema) {
   GS_RETURN_IF_ERROR(schema.Validate());
@@ -92,44 +96,15 @@ uint64_t StreamRegistry::TotalDrops(const std::string& name) const {
   return drops;
 }
 
-uint64_t StreamRegistry::TotalDropsAll() const {
-  uint64_t drops = 0;
+uint64_t StreamRegistry::SumAll(
+    uint64_t (RingChannel::*counter)() const) const {
+  uint64_t sum = 0;
   for (const auto& [name, entry] : streams_) {
     for (const Subscription& subscriber : entry.subscribers) {
-      drops += subscriber->dropped();
+      sum += ((*subscriber).*counter)();
     }
   }
-  return drops;
-}
-
-uint64_t StreamRegistry::TotalTornAll() const {
-  uint64_t torn = 0;
-  for (const auto& [name, entry] : streams_) {
-    for (const Subscription& subscriber : entry.subscribers) {
-      torn += subscriber->torn();
-    }
-  }
-  return torn;
-}
-
-uint64_t StreamRegistry::TotalResyncDroppedAll() const {
-  uint64_t dropped = 0;
-  for (const auto& [name, entry] : streams_) {
-    for (const Subscription& subscriber : entry.subscribers) {
-      dropped += subscriber->resync_dropped();
-    }
-  }
-  return dropped;
-}
-
-uint64_t StreamRegistry::TotalOversizeDroppedAll() const {
-  uint64_t dropped = 0;
-  for (const auto& [name, entry] : streams_) {
-    for (const Subscription& subscriber : entry.subscribers) {
-      dropped += subscriber->oversize_dropped();
-    }
-  }
-  return dropped;
+  return sum;
 }
 
 double StreamRegistry::MaxOccupancyFraction() const {
@@ -143,6 +118,30 @@ double StreamRegistry::MaxOccupancyFraction() const {
     }
   }
   return max_fraction;
+}
+
+void RegisterRingMetrics(telemetry::Registry* metrics,
+                         const std::string& entity, const std::string& prefix,
+                         const Subscription& channel) {
+  metrics->RegisterReader(entity, prefix + metric::kRingPushedSuffix,
+                          [channel] { return channel->pushed(); });
+  metrics->RegisterReader(entity, prefix + metric::kRingPoppedSuffix,
+                          [channel] { return channel->popped(); });
+  metrics->RegisterReader(entity, prefix + metric::kRingDroppedSuffix,
+                          [channel] { return channel->dropped(); });
+  metrics->RegisterReader(entity, prefix + metric::kRingSizeSuffix, [channel] {
+    return static_cast<uint64_t>(channel->size());
+  });
+  metrics->RegisterReader(
+      entity, prefix + metric::kRingHighWaterSuffix, [channel] {
+        return static_cast<uint64_t>(channel->high_water_mark());
+      });
+  metrics->RegisterHistogram(
+      entity, prefix + metric::kRingOccupancySuffix,
+      [channel] { return channel->occupancy_histogram().Snapshot(); });
+  metrics->RegisterHistogram(
+      entity, prefix + metric::kRingBatchSizeSuffix,
+      [channel] { return channel->batch_size_histogram().Snapshot(); });
 }
 
 }  // namespace gigascope::rts

@@ -8,11 +8,21 @@
 
 #include "gsql/schema.h"
 #include "rts/ring.h"
+#include "telemetry/registry.h"
 
 namespace gigascope::rts {
 
 /// A subscriber's end of a stream: its private bounded channel.
 using Subscription = std::shared_ptr<RingChannel>;
+
+/// Registers `channel`'s ring metrics under `entity`: the `<prefix>_pushed`,
+/// `_popped`, `_dropped`, `_size` and `_high_water` readers and the
+/// `_occupancy` and `_batch_size` histograms. The closures share ownership
+/// of the channel, so a registry snapshot stays safe even if the
+/// subscription is dropped before the registry.
+void RegisterRingMetrics(telemetry::Registry* metrics,
+                         const std::string& entity, const std::string& prefix,
+                         const Subscription& channel);
 
 /// The stream manager's registry (§3): query nodes register the streams
 /// they produce; consumers subscribe by name and receive a channel handle.
@@ -68,21 +78,18 @@ class StreamRegistry {
   /// Total drops across all subscriber channels of `name`.
   uint64_t TotalDrops(const std::string& name) const;
 
-  /// Total drops across every subscriber channel of every stream. Safe to
-  /// call concurrently with publishes (reads atomic ring counters; streams
-  /// themselves are only added during setup).
-  uint64_t TotalDropsAll() const;
+  /// One ring counter (e.g. &RingChannel::torn) summed across every
+  /// subscriber channel of every stream. Safe to call concurrently with
+  /// publishes (reads atomic ring counters; streams themselves are only
+  /// added during setup).
+  uint64_t SumAll(uint64_t (RingChannel::*counter)() const) const;
+
+  /// Total drops across every subscriber channel of every stream.
+  uint64_t TotalDropsAll() const { return SumAll(&RingChannel::dropped); }
 
   /// Occupancy (size/capacity) of the fullest subscriber channel across all
   /// streams, in [0, 1]. The overload controller's ring-pressure signal.
   double MaxOccupancyFraction() const;
-
-  /// Shm-ring health counters summed across every subscriber channel
-  /// (all zero for heap rings). Safe concurrent with pushes, like
-  /// TotalDropsAll.
-  uint64_t TotalTornAll() const;
-  uint64_t TotalResyncDroppedAll() const;
-  uint64_t TotalOversizeDroppedAll() const;
 
  private:
   struct StreamEntry {

@@ -48,9 +48,9 @@ size_t ClampedCapacity(size_t capacity, const ShmRingOptions& shm) {
 /// always fit in a single slot (punctuations are never dropped).
 constexpr size_t kMinSlotBytes = 512;
 
-/// Single-writer increment for a cross-process counter (the shm analogue
-/// of telemetry::Counter::Add — no RMW needed, each counter has exactly
-/// one writing process).
+/// Single-writer increment (the control-block analogue of
+/// telemetry::Counter::Add — no RMW needed, each counter has exactly one
+/// writer).
 inline void CounterAdd(std::atomic<uint64_t>* counter, uint64_t n) {
   counter->store(counter->load(std::memory_order_relaxed) + n,
                  std::memory_order_relaxed);
@@ -60,149 +60,117 @@ inline void CounterAdd(std::atomic<uint64_t>* counter, uint64_t n) {
 
 RingChannel::RingChannel(size_t capacity, const ShmRingOptions& shm)
     : capacity_(ClampedCapacity(capacity, shm)),
-      mask_(NextPowerOfTwo(capacity_ == 0 ? 1 : capacity_) - 1),
-      slots_(shm.enabled ? 0 : mask_ + 1) {
+      mask_(NextPowerOfTwo(capacity_ == 0 ? 1 : capacity_) - 1) {
   GS_CHECK(capacity > 0);
-  if (!shm.enabled) return;
+  const size_t slot_count = mask_ + 1;
+  if (!shm.enabled) {
+    heap_ctrl_ = std::make_unique<RingControl>();
+    ctrl_ = heap_ctrl_.get();
+    slots_.resize(slot_count);
+    return;
+  }
   shm_slot_bytes_ =
       shm.slot_bytes < kMinSlotBytes ? kMinSlotBytes : shm.slot_bytes;
-  const size_t slot_count = mask_ + 1;
-  arena_base_ = sizeof(ShmRingControl) + slot_count * sizeof(ShmSlot);
+  arena_base_ = sizeof(RingControl) + slot_count * sizeof(ShmSlot);
   shm_ = ShmSegment::Create(arena_base_ + slot_count * shm_slot_bytes_);
-  ctrl_ = new (shm_->data()) ShmRingControl();
-  ctrl_->slot_count = slot_count;
-  ctrl_->slot_bytes = shm_slot_bytes_;
-  shm_slots_ = shm_->As<ShmSlot>(sizeof(ShmRingControl));
+  ctrl_ = new (shm_->data()) RingControl();
+  shm_slots_ = shm_->As<ShmSlot>(sizeof(RingControl));
   for (size_t s = 0; s < slot_count; ++s) new (&shm_slots_[s]) ShmSlot();
-}
-
-void RingChannel::RecordPush(size_t messages, size_t occupancy) {
-  if (ctrl_ != nullptr) {
-    CounterAdd(&ctrl_->pushed, messages);
-    if (occupancy > ctrl_->high_water.load(std::memory_order_relaxed)) {
-      ctrl_->high_water.store(occupancy, std::memory_order_relaxed);
-    }
-  } else {
-    pushed_.Add(messages);
-    high_water_.Max(occupancy);
-  }
-  batch_size_.Record(messages);
-  occupancy_.Record(occupancy);
-  if (ConsumerWaker* waker = waker_.get()) waker->Wake();
-}
-
-void RingChannel::CountDropped(size_t messages) {
-  if (messages == 0) return;
-  if (ctrl_ != nullptr) {
-    CounterAdd(&ctrl_->dropped, messages);
-  } else {
-    dropped_.Add(messages);
-  }
 }
 
 bool RingChannel::TryPush(StreamBatch&& batch) {
   if (batch.items.empty()) return true;  // nothing to enqueue
-  if (ctrl_ != nullptr) return ShmTryPush(std::move(batch));
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  if (head - cached_tail_ >= capacity_) {
+  // The slots this push needs. Planning happens before the space check so
+  // a batch needing N slots fails atomically when fewer than N are free.
+  size_t oversize = 0;
+  const size_t slots = shm_ == nullptr ? 1 : PlanShmChunks(batch, &oversize);
+  const uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
+  if (head - cached_tail_ + slots > capacity_) {
     // Refresh the cached tail; acquire pairs with the consumer's release
-    // store so the slot we are about to overwrite is truly vacated.
-    cached_tail_ = tail_.load(std::memory_order_acquire);
+    // store so the slots we are about to overwrite are truly vacated.
+    cached_tail_ = ctrl_->tail.load(std::memory_order_acquire);
     // The batch has not been touched: the caller keeps ownership and can
     // retry with the very same object (the old by-value API consumed the
     // message even on failure, which made retry loops re-send a
     // moved-from shell).
-    if (head - cached_tail_ >= capacity_) return false;
+    if (head - cached_tail_ + slots > capacity_) return false;
   }
-  const size_t messages = batch.items.size();
-  slots_[head & mask_] = std::move(batch);
-  head_.store(head + 1, std::memory_order_release);
-  RecordPush(messages, static_cast<size_t>(
-                           head + 1 - tail_.load(std::memory_order_relaxed)));
+  size_t messages = 0;
+  for (size_t c = 0; c < slots; ++c) {
+    messages += StoreSlot(head + c, &batch, c);
+  }
+  batch.items.clear();
+  // Messages no slot can hold could never be delivered at any occupancy:
+  // dropped here, counted apart from ring-full drops.
+  if (oversize > 0) CounterAdd(&ctrl_->oversize_dropped, oversize);
+  if (slots == 0) return true;  // every message was oversize
+  ctrl_->head.store(head + slots, std::memory_order_release);
+  const size_t occupancy = static_cast<size_t>(
+      head + slots - ctrl_->tail.load(std::memory_order_relaxed));
+  CounterAdd(&ctrl_->pushed, messages);
+  if (occupancy > ctrl_->high_water.load(std::memory_order_relaxed)) {
+    ctrl_->high_water.store(occupancy, std::memory_order_relaxed);
+  }
+  batch_size_.Record(messages);
+  occupancy_.Record(occupancy);
+  if (ConsumerWaker* waker = waker_.get()) waker->Wake();
   return true;
 }
 
-bool RingChannel::ShmTryPush(StreamBatch&& batch) {
-  // Chunk the batch into runs whose serialized forms share one slot.
-  // Chunking happens before the space check so a batch needing N slots
-  // fails atomically (no-consume contract) when fewer than N are free.
-  struct Chunk {
-    size_t begin;
-    size_t end;
-  };
-  std::vector<Chunk> chunks;
-  std::vector<char> oversize(batch.items.size(), 0);
-  size_t oversize_count = 0;
-  const size_t none = batch.items.size();
-  size_t run_begin = none;
+size_t RingChannel::PlanShmChunks(const StreamBatch& batch,
+                                  size_t* oversize) {
+  chunk_ends_.clear();
   size_t run_bytes = 0;
+  bool run_open = false;
   for (size_t i = 0; i < batch.items.size(); ++i) {
     const size_t need = ShmEncodedMessageSize(batch.items[i]);
     if (need > shm_slot_bytes_) {
-      // Could never be delivered at any occupancy: dropped on the success
-      // path below, counted separately from ring-full drops.
-      oversize[i] = 1;
-      ++oversize_count;
+      ++*oversize;  // skipped by StoreSlot too
       continue;
     }
-    if (run_begin == none) {
-      run_begin = i;
-      run_bytes = 0;
-    } else if (run_bytes + need > shm_slot_bytes_) {
-      chunks.push_back({run_begin, i});
-      run_begin = i;
+    if (run_open && run_bytes + need > shm_slot_bytes_) {
+      chunk_ends_.push_back(i);
       run_bytes = 0;
     }
+    run_open = true;
     run_bytes += need;
   }
-  if (run_begin != none) chunks.push_back({run_begin, none});
-  if (chunks.empty()) {
-    // Every message was oversize; nothing deliverable remains.
-    CounterAdd(&ctrl_->oversize_dropped, oversize_count);
-    batch.items.clear();
-    return true;
+  if (run_open) chunk_ends_.push_back(batch.items.size());
+  return chunk_ends_.size();
+}
+
+size_t RingChannel::StoreSlot(uint64_t position, StreamBatch* batch,
+                              size_t chunk) {
+  const size_t s = position & mask_;
+  if (shm_ == nullptr) {
+    const size_t messages = batch->items.size();
+    slots_[s] = std::move(*batch);
+    return messages;
   }
-  const uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
-  if (head - cached_tail_ + chunks.size() > capacity_) {
-    cached_tail_ = ctrl_->tail.load(std::memory_order_acquire);
-    if (head - cached_tail_ + chunks.size() > capacity_) return false;
+  push_scratch_.clear();
+  uint32_t count = 0;
+  const size_t begin = chunk == 0 ? 0 : chunk_ends_[chunk - 1];
+  for (size_t i = begin; i < chunk_ends_[chunk]; ++i) {
+    const StreamMessage& message = batch->items[i];
+    if (ShmEncodedMessageSize(message) > shm_slot_bytes_) continue;
+    ShmEncodeMessage(message, &push_scratch_);
+    ++count;
   }
-  size_t delivered = 0;
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    const uint64_t index = head + c;
-    const size_t s = index & mask_;
-    push_scratch_.clear();
-    uint32_t count = 0;
-    for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) {
-      if (oversize[i]) continue;
-      ShmEncodeMessage(batch.items[i], &push_scratch_);
-      ++count;
-    }
-    ShmSlot& slot = shm_slots_[s];
-    slot.offset = ArenaOffset(s);
-    slot.len = static_cast<uint32_t>(push_scratch_.size());
-    slot.msg_count = count;
-    std::memcpy(shm_->As<uint8_t>(slot.offset), push_scratch_.data(),
-                push_scratch_.size());
-    // Publication stamp: written (release) only after the payload bytes
-    // are complete, validated by the consumer before it touches them.
-    uint64_t seq = index + 1;
-    if (torn_arm_ != 0 && ++slot_pubs_ >= torn_arm_) {
-      seq = 0;  // fault injection: a stamp no consumer position accepts
-      torn_arm_ = 0;
-    }
-    slot.seq.store(seq, std::memory_order_release);
-    delivered += count;
+  ShmSlot& slot = shm_slots_[s];
+  slot.offset = ArenaOffset(s);
+  slot.len = static_cast<uint32_t>(push_scratch_.size());
+  slot.msg_count = count;
+  std::memcpy(shm_->As<uint8_t>(slot.offset), push_scratch_.data(),
+              push_scratch_.size());
+  // Publication stamp: written (release) only after the payload bytes are
+  // complete, validated by the consumer before it touches them.
+  uint64_t seq = position + 1;
+  if (torn_arm_ != 0 && ++slot_pubs_ >= torn_arm_) {
+    seq = 0;  // fault injection: a stamp no consumer position accepts
+    torn_arm_ = 0;
   }
-  ctrl_->head.store(head + chunks.size(), std::memory_order_release);
-  if (oversize_count > 0) {
-    CounterAdd(&ctrl_->oversize_dropped, oversize_count);
-  }
-  RecordPush(delivered,
-             static_cast<size_t>(head + chunks.size() -
-                                 ctrl_->tail.load(std::memory_order_relaxed)));
-  batch.items.clear();
-  return true;
+  slot.seq.store(seq, std::memory_order_release);
+  return count;
 }
 
 bool RingChannel::TryPush(StreamMessage&& message) {
@@ -246,7 +214,7 @@ bool RingChannel::PushOrDrop(StreamBatch&& batch) {
     --tuples;
     parked_punct_ = std::move(batch.items.back());
   }
-  CountDropped(tuples);
+  if (tuples > 0) CounterAdd(&ctrl_->dropped, tuples);
   batch.items.clear();
   return false;
 }
@@ -267,69 +235,55 @@ bool RingChannel::FlushParked() {
   return false;
 }
 
-bool RingChannel::HeapPopSlotRaw(StreamBatch* out) {
-  const uint64_t tail = tail_.load(std::memory_order_relaxed);
-  if (tail == cached_head_) {
-    // Acquire pairs with the producer's release store: the slot contents
-    // written before head_ advanced are visible here.
-    cached_head_ = head_.load(std::memory_order_acquire);
-    if (tail == cached_head_) return false;
-  }
-  *out = std::move(slots_[tail & mask_]);
-  tail_.store(tail + 1, std::memory_order_release);
-  popped_.Add(out->items.size());
-  return true;
-}
-
-bool RingChannel::ShmPopSlotRaw(StreamBatch* out) {
-  for (;;) {
-    const uint64_t tail = ctrl_->tail.load(std::memory_order_relaxed);
-    // The head cache is process-local while tail is shared: after a fork
-    // handoff (adoption, or a restarted child) this process's cache can
-    // lag the tail another process advanced. Trust it only when it is
-    // strictly ahead of the tail; `<=` (not `==`) is what makes the
-    // emptiness check safe across the handoff — otherwise a stale cache
-    // reads unpublished slots and walks the tail past the head forever.
-    if (cached_head_ <= tail) {
-      cached_head_ = ctrl_->head.load(std::memory_order_acquire);
-      if (cached_head_ <= tail) return false;
-    }
-    ShmSlot& slot = shm_slots_[tail & mask_];
-    // Validate before touching the payload: the stamp proves the producer
-    // finished writing this lap's bytes, and the bounds prove the header
-    // itself is sane. A producer that died mid-write (or fault injection)
-    // fails here; the slot is torn — skipped, never delivered as garbage.
-    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    bool ok = seq == tail + 1 && slot.offset == ArenaOffset(tail & mask_) &&
-              slot.len <= shm_slot_bytes_;
-    if (ok) {
-      ByteSpan bytes(shm_->As<uint8_t>(slot.offset), slot.len);
-      ok = ShmDecodeBatch(bytes, slot.msg_count, out);
-      if (!ok) out->items.clear();
-    }
-    ctrl_->tail.store(tail + 1, std::memory_order_release);
-    if (!ok) {
-      CounterAdd(&ctrl_->torn, 1);
-      continue;  // torn slot skipped; try the next one
-    }
-    CounterAdd(&ctrl_->popped, out->items.size());
+bool RingChannel::LoadSlot(uint64_t position, StreamBatch* out) {
+  const size_t s = position & mask_;
+  if (shm_ == nullptr) {
+    *out = std::move(slots_[s]);
     return true;
   }
+  ShmSlot& slot = shm_slots_[s];
+  // Validate before touching the payload: the stamp proves the producer
+  // finished writing this lap's bytes, and the bounds prove the header
+  // itself is sane. A producer that died mid-write (or fault injection)
+  // fails here; the slot is torn — skipped, never delivered as garbage.
+  const uint64_t seq = slot.seq.load(std::memory_order_acquire);
+  if (seq != position + 1 || slot.offset != ArenaOffset(s) ||
+      slot.len > shm_slot_bytes_) {
+    return false;
+  }
+  ByteSpan bytes(shm_->As<uint8_t>(slot.offset), slot.len);
+  if (ShmDecodeBatch(bytes, slot.msg_count, out)) return true;
+  out->items.clear();
+  return false;
 }
 
 bool RingChannel::PopSlot(StreamBatch* out) {
   for (;;) {
     out->items.clear();
-    const uint64_t pos = ctrl_ != nullptr
-                             ? ctrl_->tail.load(std::memory_order_relaxed)
-                             : tail_.load(std::memory_order_relaxed);
-    const bool got =
-        ctrl_ != nullptr ? ShmPopSlotRaw(out) : HeapPopSlotRaw(out);
-    if (!got) return false;
+    const uint64_t tail = ctrl_->tail.load(std::memory_order_relaxed);
+    // The head cache is process-local while the tail may be shared: after
+    // a fork handoff (adoption, or a restarted child) this process's cache
+    // can lag the tail another process advanced. Trust it only when it is
+    // strictly ahead of the tail; `<=` (not `==`) is what makes the
+    // emptiness check safe across the handoff — otherwise a stale cache
+    // reads unpublished slots and walks the tail past the head forever.
+    if (cached_head_ <= tail) {
+      // Acquire pairs with the producer's release store: the slot
+      // contents written before the head advanced are visible here.
+      cached_head_ = ctrl_->head.load(std::memory_order_acquire);
+      if (cached_head_ <= tail) return false;
+    }
+    const bool loaded = LoadSlot(tail, out);
+    ctrl_->tail.store(tail + 1, std::memory_order_release);
+    if (!loaded) {
+      CounterAdd(&ctrl_->torn, 1);
+      continue;  // torn slot skipped; try the next one
+    }
+    CounterAdd(&ctrl_->popped, out->items.size());
     // Past the arming position: this slot was pushed after the handoff,
     // so the lost prefix cannot extend into it — the gap ends here even
     // without a punctuation (see BeginResync).
-    if (resync_ && pos >= resync_end_) resync_ = false;
+    if (resync_ && tail >= resync_end_) resync_ = false;
     if (!resync_) return true;
     ApplyResyncGate(out);
     if (!out->items.empty()) return true;
@@ -346,11 +300,7 @@ void RingChannel::ApplyResyncGate(StreamBatch* out) {
   }
   const bool punctuation = drop < out->items.size();
   if (drop > 0) {
-    if (ctrl_ != nullptr) {
-      CounterAdd(&ctrl_->resync_dropped, drop);
-    } else {
-      resync_dropped_.Add(drop);
-    }
+    CounterAdd(&ctrl_->resync_dropped, drop);
     out->items.erase(out->items.begin(),
                      out->items.begin() + static_cast<ptrdiff_t>(drop));
   }
@@ -363,8 +313,7 @@ void RingChannel::BeginResync() {
   resync_ = true;
   // Everything already pushed belongs to the dead incarnation's in-flight
   // span; everything after this head position post-dates the handoff.
-  resync_end_ = ctrl_ != nullptr ? ctrl_->head.load(std::memory_order_acquire)
-                                 : head_.load(std::memory_order_acquire);
+  resync_end_ = ctrl_->head.load(std::memory_order_acquire);
   // Any staged remainder belonged to the dead incarnation's batch.
   size_t staged_tuples = 0;
   for (size_t i = staged_index_; i < staged_.items.size(); ++i) {
@@ -372,19 +321,13 @@ void RingChannel::BeginResync() {
       ++staged_tuples;
     }
   }
-  if (staged_tuples > 0) {
-    if (ctrl_ != nullptr) {
-      CounterAdd(&ctrl_->resync_dropped, staged_tuples);
-    } else {
-      resync_dropped_.Add(staged_tuples);
-    }
-  }
+  CounterAdd(&ctrl_->resync_dropped, staged_tuples);
   staged_.items.clear();
   staged_index_ = 0;
 }
 
 void RingChannel::ArmTornFault(uint64_t nth) {
-  GS_CHECK(ctrl_ != nullptr);  // the heap backend has no serialized form
+  GS_CHECK(shm_ != nullptr);  // the heap backend has no serialized form
   torn_arm_ = nth == 0 ? 1 : nth;
   slot_pubs_ = 0;
 }
@@ -416,13 +359,8 @@ bool RingChannel::TryPop(StreamMessage* out) {
 size_t RingChannel::size() const {
   // Load tail first: head can only grow afterwards, so the difference is
   // never negative.
-  if (ctrl_ != nullptr) {
-    const uint64_t tail = ctrl_->tail.load(std::memory_order_acquire);
-    const uint64_t head = ctrl_->head.load(std::memory_order_acquire);
-    return static_cast<size_t>(head - tail);
-  }
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  const uint64_t head = head_.load(std::memory_order_acquire);
+  const uint64_t tail = ctrl_->tail.load(std::memory_order_acquire);
+  const uint64_t head = ctrl_->head.load(std::memory_order_acquire);
   return static_cast<size_t>(head - tail);
 }
 

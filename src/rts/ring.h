@@ -12,7 +12,6 @@
 
 #include "rts/shm.h"
 #include "rts/tuple.h"
-#include "telemetry/counter.h"
 #include "telemetry/histogram.h"
 
 namespace gigascope::rts {
@@ -36,6 +35,30 @@ class ConsumerWaker {
   std::condition_variable cv_;
   std::atomic<bool> signal_{false};  // latched wake-up
   std::atomic<bool> parked_{false};  // consumer is inside Park
+};
+
+/// The SPSC bookkeeping of one RingChannel: free-running positions (slot
+/// index is position & mask) and message-granular counters, each with a
+/// single writer. Producer-written and consumer-written fields sit on
+/// separate cache lines. A heap ring owns one on the heap; a shm ring
+/// places it at the head of its segment, so a parent-side gs_stats
+/// snapshot sees a child process's progress.
+struct RingControl {
+  // Producer side.
+  alignas(64) std::atomic<uint64_t> head{0};  // next slot to fill
+  std::atomic<uint64_t> pushed{0};
+  std::atomic<uint64_t> dropped{0};
+  std::atomic<uint64_t> oversize_dropped{0};
+  std::atomic<uint64_t> high_water{0};  // slot-granular
+  // Consumer side.
+  alignas(64) std::atomic<uint64_t> tail{0};  // next slot to take
+  std::atomic<uint64_t> popped{0};
+  /// Slots whose sequence stamp or bounds failed validation (a producer
+  /// died mid-write, or fault injection tore one); skipped, never
+  /// delivered.
+  std::atomic<uint64_t> torn{0};
+  /// Tuples discarded by the post-restart resync gate.
+  std::atomic<uint64_t> resync_dropped{0};
 };
 
 /// A bounded channel between query nodes, standing in for the paper's
@@ -65,12 +88,14 @@ class ConsumerWaker {
 /// channel only. pushed/popped/dropped count messages; size(), capacity()
 /// and the high-water mark count slots (batches).
 ///
-/// Two slot backends share the protocol:
+/// One protocol, two slot stores. Every ring keeps its positions and
+/// counters in one RingControl; only storing a batch into a slot and
+/// loading it back differ by backend:
 ///
 ///  - Heap (default): slots are a std::vector<StreamBatch>; batches move
 ///    through without serialization. Producer and consumer must share an
 ///    address space (threads of one process).
-///  - Shared memory (ShmRingOptions::enabled): head/tail/counters and the
+///  - Shared memory (ShmRingOptions::enabled): the control block and the
 ///    slots live in a fork-inherited ShmSegment; batches serialize into a
 ///    fixed per-slot payload region of the segment's arena (offset-based,
 ///    nothing heap-pointed crosses the boundary). This is the paper's §4
@@ -160,45 +185,25 @@ class RingChannel {
   /// the consumer's staged remainder.
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  uint64_t pushed() const {
-    return ctrl_ != nullptr ? ctrl_->pushed.load(std::memory_order_relaxed)
-                            : pushed_.value();
-  }
-  uint64_t popped() const {
-    return ctrl_ != nullptr ? ctrl_->popped.load(std::memory_order_relaxed)
-                            : popped_.value();
-  }
-  uint64_t dropped() const {
-    return ctrl_ != nullptr ? ctrl_->dropped.load(std::memory_order_relaxed)
-                            : dropped_.value();
-  }
+  uint64_t pushed() const { return Read(ctrl_->pushed); }
+  uint64_t popped() const { return Read(ctrl_->popped); }
+  uint64_t dropped() const { return Read(ctrl_->dropped); }
   /// Slots that failed consumer-side validation (half-written at producer
-  /// death, or torn by fault injection); skipped, never delivered.
-  uint64_t torn() const {
-    return ctrl_ != nullptr ? ctrl_->torn.load(std::memory_order_relaxed) : 0;
-  }
+  /// death, or torn by fault injection); skipped, never delivered. Always
+  /// 0 on a heap ring.
+  uint64_t torn() const { return Read(ctrl_->torn); }
   /// Tuples discarded by the resync gate since construction.
-  uint64_t resync_dropped() const {
-    return ctrl_ != nullptr
-               ? ctrl_->resync_dropped.load(std::memory_order_relaxed)
-               : resync_dropped_.value();
-  }
-  /// Messages too large for a shm slot, dropped at push.
-  uint64_t oversize_dropped() const {
-    return ctrl_ != nullptr
-               ? ctrl_->oversize_dropped.load(std::memory_order_relaxed)
-               : 0;
-  }
+  uint64_t resync_dropped() const { return Read(ctrl_->resync_dropped); }
+  /// Messages too large for a shm slot, dropped at push. Always 0 on a
+  /// heap ring.
+  uint64_t oversize_dropped() const { return Read(ctrl_->oversize_dropped); }
 
   /// Whether the slots live in fork-inherited shared memory.
-  bool is_shm() const { return ctrl_ != nullptr; }
+  bool is_shm() const { return shm_ != nullptr; }
 
   /// Highest slot occupancy observed (for the E4 heartbeat experiment).
   size_t high_water_mark() const {
-    return ctrl_ != nullptr
-               ? static_cast<size_t>(
-                     ctrl_->high_water.load(std::memory_order_relaxed))
-               : static_cast<size_t>(high_water_.value());
+    return static_cast<size_t>(Read(ctrl_->high_water));
   }
 
   /// Occupancy distribution, one sample per successful push (so the
@@ -227,41 +232,49 @@ class RingChannel {
   }
 
  private:
+  static uint64_t Read(const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  }
   /// Pops the next slot into `out` (bypassing the staging batch), applying
   /// the resync gate; loops past torn or fully-discarded slots.
   bool PopSlot(StreamBatch* out);
-  /// Backend slot pops without the resync gate; `out` must arrive empty.
-  bool HeapPopSlotRaw(StreamBatch* out);
-  bool ShmPopSlotRaw(StreamBatch* out);
-  bool ShmTryPush(StreamBatch&& batch);
+  /// Shm backend: splits `batch` into runs whose serialized forms fit one
+  /// slot each (ends in chunk_ends_) and counts the messages no slot can
+  /// hold. Returns the number of slots the push needs.
+  size_t PlanShmChunks(const StreamBatch& batch, size_t* oversize);
+  /// The two backend-specific steps. StoreSlot writes chunk `chunk` of
+  /// `batch` (the whole batch on a heap ring) into the slot at `position`
+  /// and returns the messages stored; LoadSlot reads the slot at
+  /// `position` into the empty `out`, false when the slot is torn.
+  size_t StoreSlot(uint64_t position, StreamBatch* batch, size_t chunk);
+  bool LoadSlot(uint64_t position, StreamBatch* out);
   /// Drops leading tuples until the first punctuation while the resync
   /// gate is armed; disarms on the punctuation.
   void ApplyResyncGate(StreamBatch* out);
-  void CountDropped(size_t messages);
-  /// Producer-side accounting shared by both backends.
-  void RecordPush(size_t messages, size_t occupancy);
   size_t ArenaOffset(size_t slot_index) const {
     return arena_base_ + slot_index * shm_slot_bytes_;
   }
 
   const size_t capacity_;  // logical capacity (exact, any value >= 1)
   const size_t mask_;      // slot_count - 1; slot_count is a power of 2
-  std::vector<StreamBatch> slots_;  // heap backend only
 
-  // Shm backend: the segment holds [ShmRingControl][ShmSlot...][arena].
+  // The control block: heap_ctrl_ on a heap ring, the head of shm_ on a
+  // shm ring.
+  std::unique_ptr<RingControl> heap_ctrl_;
+  RingControl* ctrl_ = nullptr;
+
+  std::vector<StreamBatch> slots_;  // heap slot store
+
+  // Shm slot store: the segment holds [RingControl][ShmSlot...][arena].
   std::unique_ptr<ShmSegment> shm_;
-  ShmRingControl* ctrl_ = nullptr;
   ShmSlot* shm_slots_ = nullptr;
   size_t shm_slot_bytes_ = 0;
   size_t arena_base_ = 0;
-  ByteBuffer push_scratch_;  // producer-side serialization buffer
+  ByteBuffer push_scratch_;         // producer-side serialization buffer
+  std::vector<size_t> chunk_ends_;  // producer-side, see PlanShmChunks
 
-  // Free-running counters; slot index is counter & mask_. The shm backend
-  // uses ctrl_->head/tail instead (shared across processes).
-  alignas(64) std::atomic<uint64_t> head_{0};  // next slot to push
-  alignas(64) std::atomic<uint64_t> tail_{0};  // next slot to pop
-  // Producer-local cache of tail (avoids loading the consumer's cache
-  // line until the ring looks full); consumer-local cache of head.
+  // Producer-local cache of the tail (avoids loading the consumer's cache
+  // line until the ring looks full); consumer-local cache of the head.
   alignas(64) uint64_t cached_tail_ = 0;
   alignas(64) uint64_t cached_head_ = 0;
 
@@ -287,16 +300,7 @@ class RingChannel {
   uint64_t torn_arm_ = 0;
   uint64_t slot_pubs_ = 0;
 
-  // Stats: telemetry counters so `micro_ring`, the engine's `gs_stats`
-  // stream, and direct accessors all report from one source of truth.
-  // Each counter has a single writer (producer or consumer). The shm
-  // backend keeps these in ShmRingControl instead, so a parent-side
-  // gs_stats snapshot sees child-side progress; the accessors branch.
-  telemetry::Counter pushed_;
-  telemetry::Counter popped_;
-  telemetry::Counter dropped_;
-  telemetry::Counter high_water_;
-  telemetry::Counter resync_dropped_;
+  // Per-process histograms (the counters live in the control block).
   telemetry::Histogram occupancy_;   // producer-written, see TryPush
   telemetry::Histogram batch_size_;  // producer-written, messages per push
 

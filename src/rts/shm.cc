@@ -98,9 +98,4 @@ bool ShmDecodeBatch(ByteSpan bytes, uint32_t count, StreamBatch* out) {
   return reader.remaining() == 0;
 }
 
-size_t ShmRingSegmentSize(size_t slot_count, size_t slot_bytes) {
-  return sizeof(ShmRingControl) + slot_count * sizeof(ShmSlot) +
-         slot_count * slot_bytes;
-}
-
 }  // namespace gigascope::rts

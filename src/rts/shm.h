@@ -62,29 +62,6 @@ struct ShmRingOptions {
   size_t slot_bytes = 16 * 1024;
 };
 
-/// Control block at the head of a shm ring segment. All fields are written
-/// through atomics with the same acquire/release protocol as the heap
-/// ring; counters that the heap ring keeps in telemetry::Counter live here
-/// instead so the parent's gs_stats snapshot sees child-side progress.
-struct ShmRingControl {
-  alignas(64) std::atomic<uint64_t> head{0};  // producer: next slot to fill
-  alignas(64) std::atomic<uint64_t> tail{0};  // consumer: next slot to take
-  // Message-granular counters (single writer each, relaxed).
-  alignas(64) std::atomic<uint64_t> pushed{0};   // producer
-  std::atomic<uint64_t> dropped{0};              // producer
-  std::atomic<uint64_t> oversize_dropped{0};     // producer
-  alignas(64) std::atomic<uint64_t> popped{0};   // consumer
-  std::atomic<uint64_t> high_water{0};           // producer, slot-granular
-  /// Slots whose sequence stamp or bounds failed consumer-side validation
-  /// (a producer died mid-write, or fault injection tore one); skipped,
-  /// never delivered.
-  std::atomic<uint64_t> torn{0};                 // consumer
-  /// Tuples discarded by the post-restart resync gate (consumer side).
-  std::atomic<uint64_t> resync_dropped{0};       // consumer
-  uint64_t slot_count = 0;
-  uint64_t slot_bytes = 0;
-};
-
 /// Per-slot header. The payload lives in the segment's arena at
 /// `offset` — slot i owns the fixed region [i * slot_bytes, (i+1) *
 /// slot_bytes) — and `seq` is the publication stamp: the producer stores
@@ -109,9 +86,6 @@ void ShmEncodeMessage(const StreamMessage& message, ByteBuffer* out);
 /// Bounds-checked everywhere: returns false on any truncation or overrun,
 /// which the ring treats as a torn slot. Never crashes on garbage.
 bool ShmDecodeBatch(ByteSpan bytes, uint32_t count, StreamBatch* out);
-
-/// Total segment bytes for a ring of `slot_count` slots.
-size_t ShmRingSegmentSize(size_t slot_count, size_t slot_bytes);
 
 }  // namespace gigascope::rts
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "rts/punctuation.h"
@@ -80,8 +83,73 @@ TEST(TupleCodecTest, TrailingBytesRejected) {
   EXPECT_FALSE(codec.Decode(ByteSpan(buffer.data(), buffer.size())).ok());
 }
 
-TEST(RingTest, FifoOrder) {
-  RingChannel channel(8);
+// -- Ring tests, run on both slot stores ---------------------------------------
+
+enum class Backend { kHeap, kShm };
+
+std::string BackendName(const ::testing::TestParamInfo<Backend>& info) {
+  return info.param == Backend::kHeap ? "Heap" : "Shm";
+}
+
+std::unique_ptr<RingChannel> MakeRing(Backend backend, size_t capacity) {
+  ShmRingOptions shm;
+  shm.enabled = backend == Backend::kShm;
+  return std::make_unique<RingChannel>(capacity, shm);
+}
+
+/// Every counter the two backends must agree on, in one comparable line.
+std::string Counters(const RingChannel& ring) {
+  return "pushed=" + std::to_string(ring.pushed()) +
+         " popped=" + std::to_string(ring.popped()) +
+         " dropped=" + std::to_string(ring.dropped()) +
+         " size=" + std::to_string(ring.size()) +
+         " high_water=" + std::to_string(ring.high_water_mark()) +
+         " resync_dropped=" + std::to_string(ring.resync_dropped());
+}
+
+StreamMessage Tuple(uint8_t tag) {
+  StreamMessage message;
+  message.payload = {tag};
+  return message;
+}
+
+StreamMessage Punct(uint8_t tag) {
+  StreamMessage message = Tuple(tag);
+  message.kind = StreamMessage::Kind::kPunctuation;
+  return message;
+}
+
+/// Pops everything, message at a time, returning the payload tags.
+std::vector<uint8_t> DrainTags(RingChannel* ring) {
+  std::vector<uint8_t> tags;
+  StreamMessage out;
+  while (ring->TryPop(&out)) tags.push_back(out.payload[0]);
+  return tags;
+}
+
+class RingTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  /// A ring on the backend under test, owned by the fixture.
+  RingChannel& Ring(size_t capacity) {
+    ring_ = MakeRing(GetParam(), capacity);
+    return *ring_;
+  }
+
+ private:
+  std::unique_ptr<RingChannel> ring_;
+};
+
+class RingConcurrencyTest : public RingTest {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, RingTest,
+                         ::testing::Values(Backend::kHeap, Backend::kShm),
+                         BackendName);
+INSTANTIATE_TEST_SUITE_P(Backends, RingConcurrencyTest,
+                         ::testing::Values(Backend::kHeap, Backend::kShm),
+                         BackendName);
+
+TEST_P(RingTest, FifoOrder) {
+  RingChannel& channel = Ring(8);
   for (int i = 0; i < 5; ++i) {
     StreamMessage message;
     message.payload = {static_cast<uint8_t>(i)};
@@ -93,32 +161,41 @@ TEST(RingTest, FifoOrder) {
     EXPECT_EQ(out.payload[0], i);
   }
   EXPECT_FALSE(channel.TryPop(&out));
+  EXPECT_EQ(Counters(channel),
+            "pushed=5 popped=5 dropped=0 size=0 high_water=5 "
+            "resync_dropped=0");
 }
 
-TEST(RingTest, CapacityEnforced) {
-  RingChannel channel(2);
+TEST_P(RingTest, CapacityEnforced) {
+  RingChannel& channel = Ring(2);
   StreamMessage message;
   EXPECT_TRUE(channel.TryPush(message));
   EXPECT_TRUE(channel.TryPush(message));
   EXPECT_FALSE(channel.TryPush(message));
   EXPECT_EQ(channel.size(), 2u);
+  EXPECT_EQ(Counters(channel),
+            "pushed=2 popped=0 dropped=0 size=2 high_water=2 "
+            "resync_dropped=0");
 }
 
-TEST(RingTest, DropAccounting) {
-  RingChannel channel(1);
+TEST_P(RingTest, DropAccounting) {
+  RingChannel& channel = Ring(1);
   StreamMessage message;
   EXPECT_TRUE(channel.PushOrDrop(message));
   EXPECT_FALSE(channel.PushOrDrop(message));
   EXPECT_FALSE(channel.PushOrDrop(message));
   EXPECT_EQ(channel.dropped(), 2u);
   EXPECT_EQ(channel.pushed(), 1u);
+  EXPECT_EQ(Counters(channel),
+            "pushed=1 popped=0 dropped=2 size=1 high_water=1 "
+            "resync_dropped=0");
 }
 
-TEST(RingTest, BatchDropAccountingIsMessageGranular) {
+TEST_P(RingTest, BatchDropAccountingIsMessageGranular) {
   // Overload accounting depends on `dropped()` counting *messages*, not
   // ring slots: a dropped 5-tuple batch is 5 lost tuples, and the shed
   // controller's drops-per-check threshold reads this counter.
-  RingChannel channel(1);
+  RingChannel& channel = Ring(1);
   StreamBatch filler;
   filler.items.emplace_back();
   ASSERT_TRUE(channel.PushOrDrop(std::move(filler)));
@@ -153,16 +230,22 @@ TEST(RingTest, BatchDropAccountingIsMessageGranular) {
   ASSERT_EQ(popped.items.size(), 2u);
   EXPECT_EQ(popped.items.back().kind, StreamMessage::Kind::kPunctuation);
   EXPECT_EQ(channel.dropped(), 8u);
+  EXPECT_EQ(Counters(channel),
+            "pushed=3 popped=3 dropped=8 size=0 high_water=1 "
+            "resync_dropped=0");
 }
 
-TEST(RingTest, HighWaterMark) {
-  RingChannel channel(16);
+TEST_P(RingTest, HighWaterMark) {
+  RingChannel& channel = Ring(16);
   StreamMessage message;
   for (int i = 0; i < 10; ++i) channel.TryPush(message);
   StreamMessage out;
   for (int i = 0; i < 10; ++i) channel.TryPop(&out);
   EXPECT_EQ(channel.high_water_mark(), 10u);
   EXPECT_EQ(channel.size(), 0u);
+  EXPECT_EQ(Counters(channel),
+            "pushed=10 popped=10 dropped=0 size=0 high_water=10 "
+            "resync_dropped=0");
 }
 
 TEST(RegistryTest, DeclareSubscribePublish) {
@@ -268,10 +351,10 @@ TEST(PunctuationTest, DecodeRejectsTruncation) {
       DecodePunctuation(ByteSpan(buffer.data(), buffer.size()), schema).ok());
 }
 
-TEST(RingConcurrencyTest, ProducerConsumerLosesNothing) {
+TEST_P(RingConcurrencyTest, ProducerConsumerLosesNothing) {
   // The channels stand in for the paper's shared-memory segments between
   // processes; a producer and a consumer thread must agree on counts.
-  RingChannel channel(256);
+  RingChannel& channel = Ring(256);
   const uint64_t kMessages = 200000;
   std::atomic<uint64_t> consumed{0};
   uint64_t checksum_out = 0;
@@ -307,10 +390,10 @@ TEST(RingConcurrencyTest, ProducerConsumerLosesNothing) {
   EXPECT_EQ(channel.popped(), kMessages);
 }
 
-TEST(RingTest, NonPowerOfTwoCapacityExact) {
+TEST_P(RingTest, NonPowerOfTwoCapacityExact) {
   // The slot array rounds up to a power of two internally, but the logical
   // capacity handed to the constructor must be enforced exactly.
-  RingChannel channel(3);
+  RingChannel& channel = Ring(3);
   EXPECT_EQ(channel.capacity(), 3u);
   StreamMessage message;
   EXPECT_TRUE(channel.TryPush(message));
@@ -322,13 +405,16 @@ TEST(RingTest, NonPowerOfTwoCapacityExact) {
   EXPECT_TRUE(channel.TryPop(&out));
   EXPECT_TRUE(channel.TryPush(message));
   EXPECT_FALSE(channel.TryPush(message));
+  EXPECT_EQ(Counters(channel),
+            "pushed=4 popped=1 dropped=0 size=3 high_water=3 "
+            "resync_dropped=0");
 }
 
-TEST(RingConcurrencyTest, SpscStressFifoNoLoss) {
+TEST_P(RingConcurrencyTest, SpscStressFifoNoLoss) {
   // Two-thread SPSC stress: over a million messages through a small ring,
   // every message carries its sequence number, and the consumer asserts
   // strict FIFO. Afterwards the stat counters must balance exactly.
-  RingChannel channel(64);
+  RingChannel& channel = Ring(64);
   const uint64_t kMessages = 1 << 20;  // 1,048,576
   std::atomic<bool> fifo_ok{true};
 
@@ -374,10 +460,10 @@ TEST(RingConcurrencyTest, SpscStressFifoNoLoss) {
   EXPECT_EQ(channel.pushed(), channel.popped() + channel.size());
 }
 
-TEST(RingTest, FailedPushLeavesMessageIntact) {
+TEST_P(RingTest, FailedPushLeavesMessageIntact) {
   // Regression: the old by-value TryPush consumed the message even when
   // the ring was full, so retry loops re-sent a moved-from shell.
-  RingChannel channel(1);
+  RingChannel& channel = Ring(1);
   StreamMessage filler;
   filler.payload = {9};
   ASSERT_TRUE(channel.TryPush(std::move(filler)));
@@ -397,8 +483,8 @@ TEST(RingTest, FailedPushLeavesMessageIntact) {
   EXPECT_EQ(out.payload, (ByteBuffer{1, 2, 3}));
 }
 
-TEST(RingTest, FailedBatchPushLeavesBatchIntact) {
-  RingChannel channel(1);
+TEST_P(RingTest, FailedBatchPushLeavesBatchIntact) {
+  RingChannel& channel = Ring(1);
   StreamBatch filler;
   filler.items.emplace_back();
   ASSERT_TRUE(channel.TryPush(std::move(filler)));
@@ -417,10 +503,13 @@ TEST(RingTest, FailedBatchPushLeavesBatchIntact) {
   ASSERT_TRUE(channel.TryPop(&out));
   EXPECT_TRUE(channel.TryPush(std::move(batch)));
   EXPECT_EQ(channel.pushed(), 4u);  // counters count messages, not slots
+  EXPECT_EQ(Counters(channel),
+            "pushed=4 popped=1 dropped=0 size=1 high_water=1 "
+            "resync_dropped=0");
 }
 
-TEST(RingTest, PunctuationParksOnFullRingAndRidesNextPush) {
-  RingChannel channel(1);
+TEST_P(RingTest, PunctuationParksOnFullRingAndRidesNextPush) {
+  RingChannel& channel = Ring(1);
   StreamMessage filler;
   ASSERT_TRUE(channel.TryPush(std::move(filler)));
 
@@ -446,10 +535,13 @@ TEST(RingTest, PunctuationParksOnFullRingAndRidesNextPush) {
   ASSERT_EQ(out.items.size(), 2u);
   EXPECT_EQ(out.items[1].kind, StreamMessage::Kind::kPunctuation);
   EXPECT_EQ(out.items[1].payload, (ByteBuffer{42}));
+  EXPECT_EQ(Counters(channel),
+            "pushed=3 popped=3 dropped=1 size=0 high_water=1 "
+            "resync_dropped=0");
 }
 
-TEST(RingTest, ParkedPunctuationSupersededByNewer) {
-  RingChannel channel(1);
+TEST_P(RingTest, ParkedPunctuationSupersededByNewer) {
+  RingChannel& channel = Ring(1);
   StreamMessage filler;
   ASSERT_TRUE(channel.TryPush(std::move(filler)));
 
@@ -475,10 +567,13 @@ TEST(RingTest, ParkedPunctuationSupersededByNewer) {
   ASSERT_TRUE(channel.TryPop(&out));
   ASSERT_EQ(out.items.size(), 1u);
   EXPECT_EQ(out.items[0].payload, (ByteBuffer{2}));  // only the newer one
+  EXPECT_EQ(Counters(channel),
+            "pushed=2 popped=2 dropped=0 size=0 high_water=1 "
+            "resync_dropped=0");
 }
 
-TEST(RingTest, FlushParkedReparksWhileStillFull) {
-  RingChannel channel(1);
+TEST_P(RingTest, FlushParkedReparksWhileStillFull) {
+  RingChannel& channel = Ring(1);
   StreamMessage filler;
   ASSERT_TRUE(channel.TryPush(std::move(filler)));
   StreamMessage punct;
@@ -491,10 +586,13 @@ TEST(RingTest, FlushParkedReparksWhileStillFull) {
   EXPECT_TRUE(channel.FlushParked());
   ASSERT_TRUE(channel.TryPop(&out));
   EXPECT_EQ(out.items[0].kind, StreamMessage::Kind::kPunctuation);
+  EXPECT_EQ(Counters(channel),
+            "pushed=2 popped=2 dropped=0 size=0 high_water=1 "
+            "resync_dropped=0");
 }
 
-TEST(RingTest, BatchPopAndMessagePopInterleaveFifo) {
-  RingChannel channel(4);
+TEST_P(RingTest, BatchPopAndMessagePopInterleaveFifo) {
+  RingChannel& channel = Ring(4);
   for (uint8_t b = 0; b < 3; ++b) {
     StreamBatch batch;
     for (uint8_t i = 0; i < 3; ++i) {
@@ -522,10 +620,13 @@ TEST(RingTest, BatchPopAndMessagePopInterleaveFifo) {
   EXPECT_FALSE(channel.TryPop(&message));
   EXPECT_EQ(channel.pushed(), 9u);
   EXPECT_EQ(channel.popped(), 9u);
+  EXPECT_EQ(Counters(channel),
+            "pushed=9 popped=9 dropped=0 size=0 high_water=3 "
+            "resync_dropped=0");
 }
 
-TEST(RingTest, BatchSizeHistogramCountsMessagesPerPush) {
-  RingChannel channel(8);
+TEST_P(RingTest, BatchSizeHistogramCountsMessagesPerPush) {
+  RingChannel& channel = Ring(8);
   StreamBatch batch;
   for (int i = 0; i < 5; ++i) batch.items.emplace_back();
   ASSERT_TRUE(channel.TryPush(std::move(batch)));
@@ -535,6 +636,118 @@ TEST(RingTest, BatchSizeHistogramCountsMessagesPerPush) {
   EXPECT_EQ(snapshot.count, 2u);  // two pushes...
   EXPECT_EQ(snapshot.sum, 6u);    // ...carrying six messages
   EXPECT_EQ(snapshot.max, 5u);
+}
+
+TEST_P(RingTest, ResyncGateDropsUntilPunctuation) {
+  // After a consumer restart, tuples from the interrupted window must not
+  // reach the new incarnation: the gate discards until the first
+  // punctuation, delivers it (its bound is still valid), and disarms.
+  RingChannel& channel = Ring(16);
+  StreamBatch pre;
+  pre.items.push_back(Tuple(1));
+  pre.items.push_back(Tuple(2));
+  pre.items.push_back(Punct(10));
+  ASSERT_TRUE(channel.TryPush(std::move(pre)));
+  StreamBatch post;
+  post.items.push_back(Tuple(3));
+  ASSERT_TRUE(channel.TryPush(std::move(post)));
+
+  channel.BeginResync();
+  EXPECT_TRUE(channel.resync_pending());
+  StreamMessage out;
+  ASSERT_TRUE(channel.TryPop(&out));
+  EXPECT_EQ(out.kind, StreamMessage::Kind::kPunctuation);
+  EXPECT_EQ(DrainTags(&channel), (std::vector<uint8_t>{3}));
+  EXPECT_FALSE(channel.resync_pending());
+  EXPECT_EQ(Counters(channel),
+            "pushed=4 popped=4 dropped=0 size=0 high_water=2 "
+            "resync_dropped=2");
+}
+
+TEST_P(RingTest, ResyncGateEndsAtArmingPosition) {
+  // A punctuation-free residue must not gate out data pushed after the
+  // handoff: the head position at arming bounds the gap.
+  RingChannel& channel = Ring(16);
+  StreamBatch residue;
+  residue.items.push_back(Tuple(1));
+  residue.items.push_back(Tuple(2));
+  ASSERT_TRUE(channel.TryPush(std::move(residue)));
+
+  channel.BeginResync();
+  ASSERT_TRUE(channel.TryPush(Tuple(3)));  // pushed after the handoff
+  EXPECT_EQ(DrainTags(&channel), (std::vector<uint8_t>{3}));
+  EXPECT_FALSE(channel.resync_pending());
+  EXPECT_EQ(Counters(channel),
+            "pushed=3 popped=3 dropped=0 size=0 high_water=2 "
+            "resync_dropped=2");
+}
+
+TEST_P(RingTest, ResyncDiscardsStagedRemainder) {
+  // A batch half-drained by the message-level pop belonged to the dead
+  // incarnation: arming the gate discards (and counts) its staged rest.
+  RingChannel& channel = Ring(4);
+  StreamBatch batch;
+  for (uint8_t i = 1; i <= 3; ++i) batch.items.push_back(Tuple(i));
+  ASSERT_TRUE(channel.TryPush(std::move(batch)));
+  StreamMessage out;
+  ASSERT_TRUE(channel.TryPop(&out));
+  EXPECT_EQ(out.payload[0], 1);
+
+  channel.BeginResync();
+  ASSERT_TRUE(channel.TryPush(Tuple(4)));
+  EXPECT_EQ(DrainTags(&channel), (std::vector<uint8_t>{4}));
+  EXPECT_EQ(Counters(channel),
+            "pushed=4 popped=4 dropped=0 size=0 high_water=1 "
+            "resync_dropped=2");
+}
+
+TEST(RingBackendsTest, RandomOpsKeepCountersIdentical) {
+  // Differential check of the two slot stores: one seeded sequence of
+  // pushes, drops, parked-punctuation flushes, both pop APIs and resync
+  // arming, applied to a heap and a shm ring side by side. Every popped
+  // message and every counter must match after every step.
+  auto heap = MakeRing(Backend::kHeap, 5);
+  auto shm = MakeRing(Backend::kShm, 5);
+  ASSERT_FALSE(heap->is_shm());
+  ASSERT_TRUE(shm->is_shm());
+  Rng rng(7);
+  uint8_t tag = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.NextBelow(100);
+    if (op < 40) {
+      StreamBatch batch;
+      const uint64_t tuples = rng.NextBelow(4);
+      for (uint64_t i = 0; i < tuples; ++i) batch.items.push_back(Tuple(++tag));
+      if (rng.NextBool(0.3)) batch.items.push_back(Punct(++tag));
+      StreamBatch copy = batch;
+      ASSERT_EQ(heap->PushOrDrop(std::move(batch)),
+                shm->PushOrDrop(std::move(copy)));
+    } else if (op < 45) {
+      ASSERT_EQ(heap->FlushParked(), shm->FlushParked());
+    } else if (op < 70) {
+      StreamBatch from_heap;
+      StreamBatch from_shm;
+      ASSERT_EQ(heap->TryPop(&from_heap), shm->TryPop(&from_shm));
+      ASSERT_EQ(from_heap.size(), from_shm.size());
+      for (size_t i = 0; i < from_heap.size(); ++i) {
+        ASSERT_EQ(from_heap.items[i].kind, from_shm.items[i].kind);
+        ASSERT_EQ(from_heap.items[i].payload, from_shm.items[i].payload);
+      }
+    } else if (op < 99) {
+      StreamMessage from_heap;
+      StreamMessage from_shm;
+      ASSERT_EQ(heap->TryPop(&from_heap), shm->TryPop(&from_shm));
+      ASSERT_EQ(from_heap.kind, from_shm.kind);
+      ASSERT_EQ(from_heap.payload, from_shm.payload);
+    } else {
+      heap->BeginResync();
+      shm->BeginResync();
+    }
+    ASSERT_EQ(Counters(*heap), Counters(*shm)) << "step " << step;
+    ASSERT_EQ(heap->has_parked(), shm->has_parked()) << "step " << step;
+  }
+  EXPECT_GT(heap->dropped(), 0u);
+  EXPECT_GT(heap->resync_dropped(), 0u);
 }
 
 TEST(RegistryTest, FanOutDropChargedToFullChannelOnly) {

@@ -200,7 +200,8 @@ TEST(TelemetryEngineTest, StatsStreamCarriesProcColumn) {
 
 // A known workload must produce exact counts: 5 TCP + 3 UDP packets through
 // a TCP filter gives packets=8, tuples_in=8, tuples_out=5, and the
-// subscriber ring — the same counters micro_ring reads — shows 5 pushes.
+// subscriber ring — the same counters RingChannel's accessors read — shows
+// 5 pushes, then 5 pops once the subscriber drains it.
 TEST(TelemetryEngineTest, CounterAccuracyKnownWorkload) {
   Engine engine;
   engine.AddInterface("eth0");
@@ -239,6 +240,15 @@ TEST(TelemetryEngineTest, CounterAccuracyKnownWorkload) {
   uint64_t ring_size = *FindSample(samples, "tcponly#sub0", "ring_size");
   EXPECT_EQ(ring_size, (*sub)->pending());
   EXPECT_EQ((*sub)->dropped(), 0u);
+  // Subscriber rings register the same seven ring metrics as node inputs,
+  // ring_popped included, so pushed == popped + queued is checkable.
+  EXPECT_EQ(FindSample(samples, "tcponly#sub0", "ring_popped"), 0u);
+  size_t rows = 0;
+  while ((*sub)->NextRow().has_value()) ++rows;
+  EXPECT_EQ(rows, 5u);
+  auto drained = engine.telemetry().Snapshot();
+  EXPECT_EQ(FindSample(drained, "tcponly#sub0", "ring_popped"), 5u);
+  EXPECT_EQ(FindSample(drained, "tcponly#sub0", "ring_size"), 0u);
 
   // GetNodeStats and the telemetry registry read the same counters too.
   for (const auto& stats : engine.GetNodeStats()) {
