@@ -1,5 +1,7 @@
 // Microbenchmark: packet decode + protocol interpretation — the cost of
 // turning raw bytes into a PKT tuple (the RTS "interpretation functions").
+// The *Bytes series time what the engine's inject path runs: interpretation
+// straight into the packed tuple. The Row series decode those bytes again.
 
 #include <benchmark/benchmark.h>
 
@@ -57,11 +59,26 @@ void BM_InterpretPacketPlanned(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpretPacketPlanned)->Arg(0)->Arg(400)->Arg(1400);
 
-/// Same, with the payload fields gated off — what a query set that never
-/// reads payload (filters, aggregations over header fields) pays.
-void BM_InterpretPacketNoPayload(benchmark::State& state) {
+/// The engine's inject path: interpretation straight into the packed
+/// tuple, one buffer per packet as each message owns its payload.
+void BM_InterpretPacketBytes(benchmark::State& state) {
   auto schema = gigascope::gsql::Catalog::BuiltinPacketSchema();
   auto plan = gigascope::core::BuildInterpretPlan(schema);
+  auto packet = MakePacket(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    gigascope::ByteBuffer tuple;
+    gigascope::core::InterpretPacketBytes(plan, packet, &tuple);
+    benchmark::DoNotOptimize(tuple.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InterpretPacketBytes)->Arg(0)->Arg(400)->Arg(1400);
+
+/// The PKT plan with the payload fields gated off — what a query set that
+/// never reads payload (filters, aggregations over header fields) runs.
+gigascope::core::InterpretPlan NoPayloadPlan() {
+  auto plan = gigascope::core::BuildInterpretPlan(
+      gigascope::gsql::Catalog::BuiltinPacketSchema());
   for (size_t f = 0; f < plan.fields.size(); ++f) {
     using Extract = gigascope::core::InterpretPlan::Extract;
     if (plan.fields[f] == Extract::kPayload ||
@@ -69,6 +86,12 @@ void BM_InterpretPacketNoPayload(benchmark::State& state) {
       plan.wanted[f] = false;
     }
   }
+  return plan;
+}
+
+/// Planned interpretation with the payload fields gated off.
+void BM_InterpretPacketNoPayload(benchmark::State& state) {
+  auto plan = NoPayloadPlan();
   auto packet = MakePacket(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     auto row = gigascope::core::InterpretPacket(plan, packet);
@@ -77,5 +100,19 @@ void BM_InterpretPacketNoPayload(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InterpretPacketNoPayload)->Arg(0)->Arg(400)->Arg(1400);
+
+/// The byte path with the payload fields gated off: the filter-only and
+/// aggregation workloads' inject cost.
+void BM_InterpretPacketBytesNoPayload(benchmark::State& state) {
+  auto plan = NoPayloadPlan();
+  auto packet = MakePacket(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    gigascope::ByteBuffer tuple;
+    gigascope::core::InterpretPacketBytes(plan, packet, &tuple);
+    benchmark::DoNotOptimize(tuple.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InterpretPacketBytesNoPayload)->Arg(0)->Arg(400)->Arg(1400);
 
 }  // namespace

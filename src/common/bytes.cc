@@ -14,26 +14,6 @@ void ByteWriter::PutU32Be(uint32_t v) {
   PutU16Be(static_cast<uint16_t>(v));
 }
 
-void ByteWriter::PutU16Le(uint16_t v) {
-  PutU8(static_cast<uint8_t>(v));
-  PutU8(static_cast<uint8_t>(v >> 8));
-}
-
-void ByteWriter::PutU32Le(uint32_t v) {
-  PutU16Le(static_cast<uint16_t>(v));
-  PutU16Le(static_cast<uint16_t>(v >> 16));
-}
-
-void ByteWriter::PutU64Le(uint64_t v) {
-  PutU32Le(static_cast<uint32_t>(v));
-  PutU32Le(static_cast<uint32_t>(v >> 32));
-}
-
-void ByteWriter::PutBytes(const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  out_->insert(out_->end(), p, p + len);
-}
-
 bool ByteReader::GetU8(uint8_t* v) {
   if (remaining() < 1) return false;
   *v = data_[pos_++];
@@ -54,41 +34,6 @@ bool ByteReader::GetU32Be(uint32_t* v) {
        static_cast<uint32_t>(data_[pos_ + 2]) << 8 |
        static_cast<uint32_t>(data_[pos_ + 3]);
   pos_ += 4;
-  return true;
-}
-
-bool ByteReader::GetU16Le(uint16_t* v) {
-  if (remaining() < 2) return false;
-  *v = static_cast<uint16_t>(data_[pos_] | data_[pos_ + 1] << 8);
-  pos_ += 2;
-  return true;
-}
-
-bool ByteReader::GetU32Le(uint32_t* v) {
-  if (remaining() < 4) return false;
-  *v = static_cast<uint32_t>(data_[pos_]) |
-       static_cast<uint32_t>(data_[pos_ + 1]) << 8 |
-       static_cast<uint32_t>(data_[pos_ + 2]) << 16 |
-       static_cast<uint32_t>(data_[pos_ + 3]) << 24;
-  pos_ += 4;
-  return true;
-}
-
-bool ByteReader::GetU64Le(uint64_t* v) {
-  uint32_t lo, hi;
-  size_t saved = pos_;
-  if (!GetU32Le(&lo) || !GetU32Le(&hi)) {
-    pos_ = saved;
-    return false;
-  }
-  *v = static_cast<uint64_t>(hi) << 32 | lo;
-  return true;
-}
-
-bool ByteReader::GetBytes(void* out, size_t len) {
-  if (remaining() < len) return false;
-  std::memcpy(out, data_.data() + pos_, len);
-  pos_ += len;
   return true;
 }
 

@@ -1,6 +1,7 @@
 #ifndef GIGASCOPE_COMMON_BYTES_H_
 #define GIGASCOPE_COMMON_BYTES_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -17,10 +18,15 @@ using ByteSpan = std::basic_string_view<uint8_t>;
 /// Owning byte buffer.
 using ByteBuffer = std::vector<uint8_t>;
 
+// Tuple fields are packed little-endian, which must be host order: every
+// little-endian read and write below is one memcpy.
+static_assert(std::endian::native == std::endian::little,
+              "tuple packing assumes a little-endian host");
+
 /// Serializes fixed-width integers into a growing buffer.
 ///
 /// Network header fields are written big-endian (wire order); tuple fields
-/// are written little-endian (host order on all supported platforms).
+/// are written little-endian (host order).
 class ByteWriter {
  public:
   explicit ByteWriter(ByteBuffer* out) : out_(out) {}
@@ -30,10 +36,13 @@ class ByteWriter {
   void PutU8(uint8_t v) { out_->push_back(v); }
   void PutU16Be(uint16_t v);
   void PutU32Be(uint32_t v);
-  void PutU16Le(uint16_t v);
-  void PutU32Le(uint32_t v);
-  void PutU64Le(uint64_t v);
-  void PutBytes(const void* data, size_t len);
+  void PutU16Le(uint16_t v) { PutBytes(&v, sizeof(v)); }
+  void PutU32Le(uint32_t v) { PutBytes(&v, sizeof(v)); }
+  void PutU64Le(uint64_t v) { PutBytes(&v, sizeof(v)); }
+  void PutBytes(const void* data, size_t len) {
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    out_->insert(out_->end(), p, p + len);
+  }
 
   size_t size() const { return out_->size(); }
 
@@ -52,10 +61,15 @@ class ByteReader {
   bool GetU8(uint8_t* v);
   bool GetU16Be(uint16_t* v);
   bool GetU32Be(uint32_t* v);
-  bool GetU16Le(uint16_t* v);
-  bool GetU32Le(uint32_t* v);
-  bool GetU64Le(uint64_t* v);
-  bool GetBytes(void* out, size_t len);
+  bool GetU16Le(uint16_t* v) { return GetBytes(v, sizeof(*v)); }
+  bool GetU32Le(uint32_t* v) { return GetBytes(v, sizeof(*v)); }
+  bool GetU64Le(uint64_t* v) { return GetBytes(v, sizeof(*v)); }
+  bool GetBytes(void* out, size_t len) {
+    if (remaining() < len) return false;
+    std::memcpy(out, data_.data() + pos_, len);
+    pos_ += len;
+    return true;
+  }
   bool Skip(size_t len);
 
   size_t remaining() const { return data_.size() - pos_; }

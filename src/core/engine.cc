@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 #include "core/compiled_query.h"
@@ -162,6 +163,9 @@ Status Engine::ExecuteDdl(std::string_view ddl) {
           "ExecuteDdl accepts only CREATE statements; use AddQuery for "
           "queries");
     }
+    if (create->schema.kind() == gsql::StreamKind::kProtocol) {
+      GS_RETURN_IF_ERROR(CheckProtocolSchema(create->schema));
+    }
     GS_RETURN_IF_ERROR(catalog_.AddSchema(create->schema));
   }
   return Status::Ok();
@@ -185,6 +189,7 @@ Status Engine::EnsureProtocolSource(const std::string& interface_name,
   if (protocol_sources_.count(stream_name) > 0) return Status::Ok();
   GS_ASSIGN_OR_RETURN(gsql::StreamSchema schema,
                       catalog_.GetSchema(protocol));
+  GS_RETURN_IF_ERROR(CheckProtocolSchema(schema));
   // Built in place: the telemetry counters are neither movable nor
   // copyable, and map nodes are stable, so the registry can point at them.
   ProtocolSource& source = protocol_sources_[stream_name];
@@ -204,7 +209,6 @@ Status Engine::EnsureProtocolSource(const std::string& interface_name,
       }
     }
   }
-  source.codec = std::make_unique<rts::TupleCodec>(source.schema);
   Status declared = registry_.DeclareStream(source.schema);
   if (!declared.ok()) {
     protocol_sources_.erase(stream_name);
@@ -519,153 +523,183 @@ Result<std::unique_ptr<TupleSubscription>> Engine::Subscribe(
                                              std::move(schema));
 }
 
+namespace {
+
+/// The built-in interpretation library (§2.2): a field named after an
+/// extractor is filled by it, and must be declared with its type.
+struct Extractor {
+  const char* name;
+  InterpretPlan::Extract extract;
+  DataType type;
+};
+
+constexpr Extractor kExtractors[] = {
+    {"time", InterpretPlan::Extract::kTime, DataType::kUint},
+    {"timestamp", InterpretPlan::Extract::kTimestamp, DataType::kUint},
+    {"len", InterpretPlan::Extract::kLen, DataType::kUint},
+    {"srcIP", InterpretPlan::Extract::kSrcIp, DataType::kIp},
+    {"destIP", InterpretPlan::Extract::kDestIp, DataType::kIp},
+    {"srcPort", InterpretPlan::Extract::kSrcPort, DataType::kUint},
+    {"destPort", InterpretPlan::Extract::kDestPort, DataType::kUint},
+    {"protocol", InterpretPlan::Extract::kProtocol, DataType::kUint},
+    {"ipVersion", InterpretPlan::Extract::kIpVersion, DataType::kUint},
+    {"tcpFlags", InterpretPlan::Extract::kTcpFlags, DataType::kUint},
+    {"tcpSeq", InterpretPlan::Extract::kTcpSeq, DataType::kUint},
+    {"ipId", InterpretPlan::Extract::kIpId, DataType::kUint},
+    {"fragOffset", InterpretPlan::Extract::kFragOffset, DataType::kUint},
+    {"moreFrags", InterpretPlan::Extract::kMoreFrags, DataType::kUint},
+    {"payload", InterpretPlan::Extract::kPayload, DataType::kString},
+    {"ipPayload", InterpretPlan::Extract::kIpPayload, DataType::kString},
+};
+
+const Extractor* FindExtractor(const std::string& name) {
+  for (const Extractor& extractor : kExtractors) {
+    if (name == extractor.name) return &extractor;
+  }
+  return nullptr;
+}
+
+void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
+void StoreU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
+
+}  // namespace
+
 InterpretPlan BuildInterpretPlan(const gsql::StreamSchema& schema) {
-  using Extract = InterpretPlan::Extract;
   InterpretPlan plan;
   plan.fields.reserve(schema.num_fields());
   for (size_t f = 0; f < schema.num_fields(); ++f) {
     const gsql::FieldDef& field = schema.field(f);
-    const std::string& name = field.name;
-    Extract extract = Extract::kDefault;
-    if (name == "time") extract = Extract::kTime;
-    else if (name == "timestamp") extract = Extract::kTimestamp;
-    else if (name == "len") extract = Extract::kLen;
-    else if (name == "srcIP") extract = Extract::kSrcIp;
-    else if (name == "destIP") extract = Extract::kDestIp;
-    else if (name == "srcPort") extract = Extract::kSrcPort;
-    else if (name == "destPort") extract = Extract::kDestPort;
-    else if (name == "protocol") extract = Extract::kProtocol;
-    else if (name == "ipVersion") extract = Extract::kIpVersion;
-    else if (name == "tcpFlags") extract = Extract::kTcpFlags;
-    else if (name == "tcpSeq") extract = Extract::kTcpSeq;
-    else if (name == "ipId") extract = Extract::kIpId;
-    else if (name == "fragOffset") extract = Extract::kFragOffset;
-    else if (name == "moreFrags") extract = Extract::kMoreFrags;
-    else if (name == "payload") extract = Extract::kPayload;
-    else if (name == "ipPayload") extract = Extract::kIpPayload;
-    plan.fields.push_back(extract);
-    plan.types.push_back(field.type);
+    const Extractor* extractor = FindExtractor(field.name);
+    plan.fields.push_back(extractor != nullptr && extractor->type == field.type
+                              ? extractor->extract
+                              : InterpretPlan::Extract::kDefault);
+    const size_t width =
+        rts::TupleCodec::FixedTypeWidth(field.type).value_or(sizeof(uint32_t));
+    plan.widths.push_back(static_cast<uint8_t>(width));
+    plan.fixed_bytes += width;
     plan.wanted.push_back(true);
   }
+  plan.codec = std::make_shared<const rts::TupleCodec>(schema);
   return plan;
 }
 
-rts::Row InterpretPacket(const InterpretPlan& plan,
-                         const net::Packet& packet) {
-  return InterpretPacket(plan, packet, nullptr);
+Status CheckProtocolSchema(const gsql::StreamSchema& schema) {
+  for (const gsql::FieldDef& field : schema.fields()) {
+    const Extractor* extractor = FindExtractor(field.name);
+    if (extractor != nullptr && extractor->type != field.type) {
+      return Status::InvalidArgument(
+          "protocol " + schema.name() + " declares field '" + field.name +
+          "' as " + gsql::DataTypeName(field.type) +
+          ", but the built-in interpretation of '" + field.name +
+          "' yields " + gsql::DataTypeName(extractor->type));
+    }
+  }
+  return Status::Ok();
 }
 
-rts::Row InterpretPacket(const InterpretPlan& plan, const net::Packet& packet,
-                         bool* malformed) {
+void InterpretPacketBytes(const InterpretPlan& plan, const net::Packet& packet,
+                          ByteBuffer* out, bool* malformed) {
   using Extract = InterpretPlan::Extract;
   auto decoded_result = net::DecodePacket(packet.view());
   const net::DecodedPacket* decoded =
       decoded_result.ok() ? &decoded_result.value() : nullptr;
   if (malformed != nullptr) *malformed = decoded == nullptr;
   const bool has_ip = decoded != nullptr && decoded->ip.has_value();
+  const net::TcpHeader* tcp =
+      decoded != nullptr && decoded->is_tcp() ? &*decoded->tcp : nullptr;
+  const net::UdpHeader* udp =
+      decoded != nullptr && decoded->is_udp() ? &*decoded->udp : nullptr;
 
-  rts::Row row;
-  row.reserve(plan.fields.size());
+  // The string bodies: the application payload, and the IP payload
+  // including any transport header (what an IP defragmenter reassembles).
+  ByteSpan payload;
+  ByteSpan ip_payload;
+  if (decoded != nullptr) payload = decoded->payload;
+  if (has_ip) {
+    const size_t start = net::kEthernetHeaderLen + decoded->ip->header_len;
+    if (packet.bytes.size() > start) ip_payload = packet.view().substr(start);
+  }
+  size_t size = plan.fixed_bytes;
   for (size_t f = 0; f < plan.fields.size(); ++f) {
-    Extract extract = plan.fields[f];
-    // Gated-off fields and extractors whose protocol layer is absent both
-    // interpret as the type default, matching name-based interpretation of
-    // an undecodable packet.
-    if (!plan.wanted[f]) extract = Extract::kDefault;
+    if (!plan.wanted[f]) continue;
+    if (plan.fields[f] == Extract::kPayload) size += payload.size();
+    if (plan.fields[f] == Extract::kIpPayload) size += ip_payload.size();
+  }
+  // Zero-filled: whatever no extractor writes below is the type default.
+  out->assign(size, 0);
+
+  uint8_t* p = out->data();
+  for (size_t f = 0; f < plan.fields.size(); ++f) {
+    const Extract extract =
+        plan.wanted[f] ? plan.fields[f] : Extract::kDefault;
     switch (extract) {
       case Extract::kTime:
-        row.push_back(Value::Uint(
-            static_cast<uint64_t>(SimTimeToSeconds(packet.timestamp))));
-        continue;
+        StoreU64(p, static_cast<uint64_t>(SimTimeToSeconds(packet.timestamp)));
+        break;
       case Extract::kTimestamp:
-        row.push_back(Value::Uint(static_cast<uint64_t>(packet.timestamp)));
-        continue;
+        StoreU64(p, static_cast<uint64_t>(packet.timestamp));
+        break;
       case Extract::kLen:
-        row.push_back(Value::Uint(packet.orig_len));
-        continue;
+        StoreU64(p, packet.orig_len);
+        break;
       case Extract::kSrcIp:
-        if (!has_ip) break;
-        row.push_back(Value::Ip(decoded->ip->src_addr));
-        continue;
+        if (has_ip) StoreU32(p, decoded->ip->src_addr);
+        break;
       case Extract::kDestIp:
-        if (!has_ip) break;
-        row.push_back(Value::Ip(decoded->ip->dst_addr));
-        continue;
-      case Extract::kSrcPort: {
-        if (decoded == nullptr) break;
-        uint16_t port = decoded->is_tcp()   ? decoded->tcp->src_port
-                        : decoded->is_udp() ? decoded->udp->src_port
-                                            : 0;
-        row.push_back(Value::Uint(port));
-        continue;
-      }
-      case Extract::kDestPort: {
-        if (decoded == nullptr) break;
-        uint16_t port = decoded->is_tcp()   ? decoded->tcp->dst_port
-                        : decoded->is_udp() ? decoded->udp->dst_port
-                                            : 0;
-        row.push_back(Value::Uint(port));
-        continue;
-      }
+        if (has_ip) StoreU32(p, decoded->ip->dst_addr);
+        break;
+      case Extract::kSrcPort:
+        if (tcp != nullptr) StoreU64(p, tcp->src_port);
+        if (udp != nullptr) StoreU64(p, udp->src_port);
+        break;
+      case Extract::kDestPort:
+        if (tcp != nullptr) StoreU64(p, tcp->dst_port);
+        if (udp != nullptr) StoreU64(p, udp->dst_port);
+        break;
       case Extract::kProtocol:
-        if (!has_ip) break;
-        row.push_back(Value::Uint(decoded->ip->protocol));
-        continue;
+        if (has_ip) StoreU64(p, decoded->ip->protocol);
+        break;
       case Extract::kIpVersion:
-        if (decoded == nullptr) break;
-        row.push_back(Value::Uint(has_ip ? 4 : 0));
-        continue;
+        if (has_ip) StoreU64(p, 4);
+        break;
       case Extract::kTcpFlags:
-        if (decoded == nullptr) break;
-        row.push_back(
-            Value::Uint(decoded->is_tcp() ? decoded->tcp->flags : 0));
-        continue;
+        if (tcp != nullptr) StoreU64(p, tcp->flags);
+        break;
       case Extract::kTcpSeq:
-        if (decoded == nullptr) break;
-        row.push_back(Value::Uint(decoded->is_tcp() ? decoded->tcp->seq : 0));
-        continue;
+        if (tcp != nullptr) StoreU64(p, tcp->seq);
+        break;
       case Extract::kIpId:
-        if (!has_ip) break;
-        row.push_back(Value::Uint(decoded->ip->identification));
-        continue;
+        if (has_ip) StoreU64(p, decoded->ip->identification);
+        break;
       case Extract::kFragOffset:
-        if (!has_ip) break;
-        row.push_back(Value::Uint(decoded->ip->fragment_offset));
-        continue;
+        if (has_ip) StoreU64(p, decoded->ip->fragment_offset);
+        break;
       case Extract::kMoreFrags:
-        if (!has_ip) break;
-        row.push_back(Value::Uint(decoded->ip->more_fragments() ? 1 : 0));
-        continue;
+        if (has_ip) StoreU64(p, decoded->ip->more_fragments() ? 1 : 0);
+        break;
+      case Extract::kPayload:
       case Extract::kIpPayload: {
-        if (!has_ip) break;
-        // The IP payload including any transport header — what an IP
-        // defragmenter reassembles.
-        size_t start = net::kEthernetHeaderLen + decoded->ip->header_len;
-        std::string ip_payload;
-        if (packet.bytes.size() > start) {
-          ip_payload.assign(
-              reinterpret_cast<const char*>(packet.bytes.data() + start),
-              packet.bytes.size() - start);
-        }
-        row.push_back(Value::String(std::move(ip_payload)));
-        continue;
-      }
-      case Extract::kPayload: {
-        std::string payload;
-        if (decoded != nullptr) {
-          payload.assign(
-              reinterpret_cast<const char*>(decoded->payload.data()),
-              decoded->payload.size());
-        }
-        row.push_back(Value::String(std::move(payload)));
-        continue;
+        const ByteSpan body = extract == Extract::kPayload ? payload
+                                                           : ip_payload;
+        StoreU32(p, static_cast<uint32_t>(body.size()));
+        if (!body.empty()) std::memcpy(p + 4, body.data(), body.size());
+        p += body.size();
+        break;
       }
       case Extract::kDefault:
         break;
     }
-    row.push_back(Value::Default(plan.types[f]));
+    p += plan.widths[f];
   }
-  return row;
+}
+
+rts::Row InterpretPacket(const InterpretPlan& plan, const net::Packet& packet,
+                         bool* malformed) {
+  ByteBuffer bytes;
+  InterpretPacketBytes(plan, packet, &bytes, malformed);
+  Result<rts::Row> row = plan.codec->Decode(ByteSpan(bytes.data(), bytes.size()));
+  GS_CHECK(row.ok());
+  return std::move(row).value();
 }
 
 rts::Row InterpretPacket(const gsql::StreamSchema& schema,
@@ -757,9 +791,6 @@ Status Engine::InjectPacket(const std::string& interface_name,
       }
       continue;
     }
-    bool malformed = false;
-    rts::Row row = InterpretPacket(source.interpret, *effective, &malformed);
-    if (malformed) ++source.parse_errors;
     rts::StreamMessage message;
     message.kind = rts::StreamMessage::Kind::kTuple;
     message.trace_id = trace_id;
@@ -768,7 +799,10 @@ Status Engine::InjectPacket(const std::string& interface_name,
     // survivor stands for itself plus the sample_k - 1 packets the L1
     // sampler sheds around it.
     message.weight = sample_k;
-    source.codec->Encode(row, &message.payload);
+    bool malformed = false;
+    InterpretPacketBytes(source.interpret, *effective, &message.payload,
+                         &malformed);
+    if (malformed) ++source.parse_errors;
     // Batched inject path: the tuple joins the source's open batch, which
     // publishes as one ring message when it fills, ages out, or a
     // punctuation closes it (a punctuation is always a batch's last item).
@@ -776,7 +810,6 @@ Status Engine::InjectPacket(const std::string& interface_name,
       source.batch_open_time = effective->timestamp;
     }
     source.open_batch.items.push_back(std::move(message));
-    source.last_row = std::move(row);
     ++source.packets;
     if (source.last_punct_time > 0 &&
         effective->timestamp >= source.last_punct_time) {
@@ -786,14 +819,20 @@ Status Engine::InjectPacket(const std::string& interface_name,
     rts::Punctuation punctuation;
     if (options_.punctuation_interval > 0 &&
         source.packets.value() % options_.punctuation_interval == 0) {
+      // Bounds are the ordered fields of the tuple just interpreted, read
+      // back out of its packed bytes (they may sit behind a STRING).
+      const ByteBuffer& tuple = source.open_batch.items.back().payload;
       for (size_t f = 0; f < source.schema.num_fields(); ++f) {
-        const gsql::OrderSpec& order = source.schema.field(f).order;
-        if (!order.IsIncreasingLike()) continue;
-        if (source.schema.field(f).type == DataType::kString) continue;
-        punctuation.bounds.emplace_back(f, source.last_row[f]);
-        if (source.schema.field(f).name == "time") {
-          source.last_punct_sec.Set(source.last_row[f].uint_value());
+        const gsql::FieldDef& field = source.schema.field(f);
+        if (!field.order.IsIncreasingLike()) continue;
+        if (field.type == DataType::kString) continue;
+        Result<Value> bound = source.interpret.codec->DecodeField(
+            ByteSpan(tuple.data(), tuple.size()), f);
+        GS_CHECK(bound.ok());  // the interpreter wrote a well-formed tuple
+        if (field.name == "time") {
+          source.last_punct_sec.Set(bound->uint_value());
         }
+        punctuation.bounds.emplace_back(f, std::move(bound).value());
       }
     }
     if (!punctuation.bounds.empty()) {

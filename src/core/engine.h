@@ -136,16 +136,29 @@ struct InterpretPlan {
     kDefault,
   };
   std::vector<Extract> fields;
-  std::vector<gsql::DataType> types;
+  /// Packed width of each field; a STRING counts its length prefix only.
+  std::vector<uint8_t> widths;
   /// Unwanted fields interpret as their type default. Only kPayload and
   /// kIpPayload are ever gated off; fixed-width fields are always cheap
   /// enough to materialize.
   std::vector<bool> wanted;
+  /// Packed size of a tuple whose strings are all empty.
+  size_t fixed_bytes = 0;
+  /// The schema's tuple layout, which the extractor writes directly.
+  std::shared_ptr<const rts::TupleCodec> codec;
 };
 
 /// Resolves `schema`'s field names against the built-in interpretation
-/// library (§2.2). All fields start wanted.
+/// library (§2.2). All fields start wanted. Unknown names, and names whose
+/// declared type differs from the extractor's (see CheckProtocolSchema),
+/// interpret as the type default.
 InterpretPlan BuildInterpretPlan(const gsql::StreamSchema& schema);
+
+/// InvalidArgument when a field of `schema` is named after a built-in
+/// extractor but declared with a different type (`time FLOAT`): the
+/// extractor's value could not be packed as that field. Engine checks
+/// every protocol schema with it before interpreting packets.
+Status CheckProtocolSchema(const gsql::StreamSchema& schema);
 
 /// Metadata about a compiled, running query.
 struct QueryInfo {
@@ -403,7 +416,6 @@ class Engine {
     /// Field extraction resolved once; payload fields start unwanted and
     /// are switched on as consumers that read them appear.
     InterpretPlan interpret;
-    std::unique_ptr<rts::TupleCodec> codec;
     telemetry::Counter packets;
     /// Seconds bound of the last punctuation published on this source;
     /// `gs_stats` consumers can compute punctuation lag against it.
@@ -417,7 +429,6 @@ class Engine {
     /// clamped to the bound (never violating emitted ordering promises).
     telemetry::Counter time_regressions;
     SimTime last_punct_time = 0;
-    rts::Row last_row;
     /// Inject-side batch under construction: packets append here and the
     /// batch publishes on size/age/punctuation, or at the next Pump.
     rts::StreamBatch open_batch;
@@ -603,16 +614,20 @@ class Engine {
   bool user_nodes_present_ = false;
 };
 
-/// Interprets a raw packet into a row under a precompiled plan: one packet
-/// decode, then a switch per field — no name lookups on the hot path.
-rts::Row InterpretPacket(const InterpretPlan& plan,
-                         const net::Packet& packet);
+/// Interprets a raw packet straight into a packed tuple of the plan's
+/// schema (TupleCodec layout), replacing `*out`: one packet decode, then
+/// one little-endian store per field into a buffer sized once. Gated-off
+/// fields and fields whose protocol layer is absent stay zero bytes, which
+/// is the packed type default. `malformed` (nullable) reports whether the
+/// packet failed to decode at the Ethernet layer; malformed input never
+/// crashes the interpreter, it is counted via the source's parse_errors
+/// metric.
+void InterpretPacketBytes(const InterpretPlan& plan, const net::Packet& packet,
+                          ByteBuffer* out, bool* malformed = nullptr);
 
-/// Same, reporting whether the packet failed to decode (fields then
-/// interpret as type defaults — malformed input never crashes the
-/// interpreter, it is counted via the source's parse_errors metric).
+/// The same interpretation as a row: InterpretPacketBytes, decoded.
 rts::Row InterpretPacket(const InterpretPlan& plan, const net::Packet& packet,
-                         bool* malformed);
+                         bool* malformed = nullptr);
 
 /// Convenience overload: resolves `schema` (time, timestamp, srcIP,
 /// destIP, srcPort, destPort, protocol, ipVersion, len, tcpFlags, tcpSeq,

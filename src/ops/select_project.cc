@@ -13,14 +13,14 @@ namespace {
 
 uint64_t ReadU64Le(const uint8_t* p) {
   uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
 uint32_t ReadU32Le(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
 /// Mirrors CompareOp over Value::Compare's three-way result.
@@ -57,6 +57,38 @@ SelectProjectNode::SelectProjectNode(Spec spec, rts::Subscription input,
       writer_(registry, spec_.name, spec_.output_batch) {
   RegisterInput(input_);
   BuildRawFilter();
+  BuildByteProjection();
+}
+
+void SelectProjectNode::BuildByteProjection() {
+  if (spec_.projections.size() != spec_.output_schema.num_fields()) return;
+  std::vector<CopyRange> ranges;
+  size_t bytes = 0;
+  for (size_t i = 0; i < spec_.projections.size(); ++i) {
+    const std::vector<expr::Instr>& code = spec_.projections[i].code;
+    if (code.size() != 1 || code[0].op != expr::ByteOp::kLoadField ||
+        code[0].a != 0 || code[0].b >= spec_.input_schema.num_fields()) {
+      return;
+    }
+    const size_t field = code[0].b;
+    const DataType type = spec_.input_schema.field(field).type;
+    // Decoding normalizes a BOOL byte to 0/1, so copying it could differ.
+    if (type == DataType::kBool) return;
+    if (spec_.output_schema.field(i).type != type) return;
+    std::optional<size_t> offset = input_codec_.FixedFieldOffset(field);
+    std::optional<size_t> width = rts::TupleCodec::FixedTypeWidth(type);
+    if (!offset.has_value() || !width.has_value()) return;
+    if (!ranges.empty() &&
+        ranges.back().offset + ranges.back().width == *offset) {
+      ranges.back().width += *width;
+    } else {
+      ranges.push_back({*offset, *width});
+    }
+    bytes += *width;
+  }
+  byte_projection_ = true;
+  copy_ranges_ = std::move(ranges);
+  copy_bytes_ = bytes;
 }
 
 void SelectProjectNode::BuildRawFilter() {
@@ -136,25 +168,29 @@ size_t SelectProjectNode::Poll(size_t budget) {
     for (rts::StreamMessage& message : batch.items) {
       ++processed;
       if (message.kind == rts::StreamMessage::Kind::kTuple) {
-        if (!raw_terms_.empty() &&
-            message.payload.size() >= raw_min_payload_) {
-          // Columnar fast path: the whole predicate runs on packed bytes;
-          // rejected tuples are never decoded.
-          if (!RawFilterPass(message.payload)) {
-            ++tuples_in_;
-            if (message.trace_id != 0) {
-              BeginMessage(message);
-              EndMessage();
-            }
-            continue;
+        const bool raw = !raw_terms_.empty() &&
+                         message.payload.size() >= raw_min_payload_;
+        // Columnar fast path: the whole predicate runs on packed bytes;
+        // rejected tuples are never decoded.
+        if (raw && !RawFilterPass(message.payload)) {
+          ++tuples_in_;
+          if (message.trace_id != 0) {
+            BeginMessage(message);
+            EndMessage();
           }
-          BeginMessage(message);
-          ProcessTuple(message.payload, /*predicate_checked=*/true);
-          EndMessage();
           continue;
         }
+        const bool passed = raw || !spec_.predicate.has_value();
         BeginMessage(message);
-        ProcessTuple(message.payload, /*predicate_checked=*/false);
+        // A tuple Decode would reject takes the general path, which counts
+        // it as an evaluation error.
+        if (passed && byte_projection_ &&
+            input_codec_.WellFormed(
+                ByteSpan(message.payload.data(), message.payload.size()))) {
+          CopyProjectTuple(message.payload);
+        } else {
+          ProcessTuple(message.payload, /*predicate_checked=*/raw);
+        }
         EndMessage();
       } else {
         BeginMessage(message);
@@ -206,10 +242,27 @@ void SelectProjectNode::ProcessTuple(const ByteBuffer& payload,
     out_row.push_back(std::move(out.value));
   }
 
+  ByteBuffer out;
+  output_codec_.Encode(out_row, &out);
+  EmitTuple(std::move(out));
+}
+
+void SelectProjectNode::CopyProjectTuple(const ByteBuffer& payload) {
+  ++tuples_in_;
+  ByteBuffer out(copy_bytes_);
+  uint8_t* p = out.data();
+  for (const CopyRange& range : copy_ranges_) {
+    std::memcpy(p, payload.data() + range.offset, range.width);
+    p += range.width;
+  }
+  EmitTuple(std::move(out));
+}
+
+void SelectProjectNode::EmitTuple(ByteBuffer payload) {
   rts::StreamMessage out_message;
   out_message.kind = rts::StreamMessage::Kind::kTuple;
   out_message.weight = active_weight();  // sampling weight rides through
-  output_codec_.Encode(out_row, &out_message.payload);
+  out_message.payload = std::move(payload);
   StampOutput(&out_message);
   writer_.Write(std::move(out_message));
   ++tuples_out_;

@@ -25,7 +25,12 @@ namespace gigascope::ops {
 /// When the predicate is a conjunction of `field <cmp> constant` terms over
 /// fixed-offset fields (the dominant LFTA filter shape), it is evaluated
 /// columnar-style straight off the packed tuple bytes: rejected tuples —
-/// the vast majority on a selective filter — never get decoded.
+/// the vast majority on a selective filter — never get decoded. When every
+/// projection is a plain load of a fixed-offset, non-BOOL input field of
+/// the output field's type (`SELECT time, destIP, destPort`), a passing,
+/// well-formed tuple is projected as byte-range copies: no decode, no VM,
+/// no re-encode. Anything else, malformed payloads included, takes the
+/// general path, so the counters and output bytes are the same either way.
 class SelectProjectNode : public rts::QueryNode {
  public:
   struct Spec {
@@ -51,6 +56,9 @@ class SelectProjectNode : public rts::QueryNode {
   /// (introspection for tests and EXPLAIN).
   bool has_raw_filter() const { return !raw_terms_.empty(); }
 
+  /// Whether passing tuples are projected as byte copies.
+  bool has_byte_projection() const { return byte_projection_; }
+
  private:
   /// One predicate conjunct evaluated on packed bytes: the field at a
   /// fixed offset compared against a pre-extracted constant.
@@ -63,9 +71,18 @@ class SelectProjectNode : public rts::QueryNode {
     double f = 0;    // kFloat constant
   };
 
+  /// One run of input bytes a byte-copy projection emits verbatim.
+  struct CopyRange {
+    size_t offset = 0;
+    size_t width = 0;
+  };
+
   void BuildRawFilter();
+  void BuildByteProjection();
   bool RawFilterPass(const ByteBuffer& payload) const;
   void ProcessTuple(const ByteBuffer& payload, bool predicate_checked);
+  void CopyProjectTuple(const ByteBuffer& payload);
+  void EmitTuple(ByteBuffer payload);
   void ProcessPunctuation(const ByteBuffer& payload);
 
   Spec spec_;
@@ -78,6 +95,9 @@ class SelectProjectNode : public rts::QueryNode {
   expr::Evaluator vm_;
   std::vector<RawTerm> raw_terms_;  // empty: use the general VM
   size_t raw_min_payload_ = 0;      // shorter payloads take the slow path
+  bool byte_projection_ = false;
+  std::vector<CopyRange> copy_ranges_;  // adjacent loads merged
+  size_t copy_bytes_ = 0;               // packed output tuple size
 };
 
 }  // namespace gigascope::ops

@@ -18,7 +18,10 @@ using Row = std::vector<expr::Value>;
 /// the shared-memory channels between query nodes.
 ///
 /// Layout: fields in schema order. BOOL = 1 byte; INT/UINT/FLOAT = 8 bytes
-/// little-endian; IP = 4 bytes; STRING = u32 length + bytes.
+/// little-endian; IP = 4 bytes; STRING = u32 length + bytes. Every type's
+/// default value packs as all-zero bytes (an empty STRING is a zero
+/// length), so a zero-filled buffer of the right length is a tuple of
+/// defaults.
 class TupleCodec {
  public:
   explicit TupleCodec(const gsql::StreamSchema& schema);
@@ -30,6 +33,15 @@ class TupleCodec {
 
   /// Deserializes a packed tuple; fails on truncation or overrun.
   Result<Row> Decode(ByteSpan bytes) const;
+
+  /// Whether Decode would accept `bytes`: every field fits, every string
+  /// length stays inside the buffer, and nothing trails the last field.
+  /// Checks lengths only; no field is decoded.
+  bool WellFormed(ByteSpan bytes) const;
+
+  /// Decodes field `field` alone out of a well-formed packed tuple,
+  /// skipping any strings before it by their lengths.
+  Result<expr::Value> DecodeField(ByteSpan bytes, size_t field) const;
 
   /// Encoded size of `row` in bytes.
   size_t EncodedSize(const Row& row) const;
@@ -45,7 +57,15 @@ class TupleCodec {
   static std::optional<size_t> FixedTypeWidth(gsql::DataType type);
 
  private:
+  /// Offset of field `field` in `bytes` (field == num_fields: the end of
+  /// the tuple), walking string lengths; nullopt when a field before it
+  /// overruns the buffer.
+  std::optional<size_t> OffsetIn(ByteSpan bytes, size_t field) const;
+
   gsql::StreamSchema schema_;
+  /// fixed_offsets_[f] = FixedFieldOffset(f) for every f up to and
+  /// including the first STRING field (or the end of the tuple).
+  std::vector<size_t> fixed_offsets_;
 };
 
 /// A message flowing on a stream channel: a tuple or a punctuation

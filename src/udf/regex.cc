@@ -1,8 +1,72 @@
 #include "udf/regex.h"
 
+#include <algorithm>
+#include <cstring>
+#include <initializer_list>
+
 namespace gigascope::udf {
 
 namespace {
+
+/// What the parse knows about the strings a fragment matches, for the
+/// literal prefilter: every match starts with `prefix`, ends with `suffix`
+/// and contains `required`; when `exact`, every match is that one string
+/// (and all three equal it). The default — nothing known — is always sound.
+struct Literals {
+  bool exact = false;
+  std::string prefix;
+  std::string suffix;
+  std::string required;
+
+  static Literals Exact(const std::string& s) { return {true, s, s, s}; }
+};
+
+const std::string& Longest(std::initializer_list<const std::string*> all) {
+  const std::string* best = *all.begin();
+  for (const std::string* s : all) {
+    if (s->size() > best->size()) best = s;
+  }
+  return *best;
+}
+
+/// Caps every literal at kMaxLiteral bytes, so bounded repeats of groups
+/// cannot grow them quadratically. Still sound: a prefix of a prefix, a
+/// suffix of a suffix and a substring of a required literal hold for every
+/// match too.
+constexpr size_t kMaxLiteral = 64;
+
+Literals Bounded(Literals l) {
+  if (l.prefix.size() <= kMaxLiteral && l.suffix.size() <= kMaxLiteral &&
+      l.required.size() <= kMaxLiteral) {
+    return l;
+  }
+  l.exact = false;
+  l.prefix.resize(std::min(l.prefix.size(), kMaxLiteral));
+  if (l.suffix.size() > kMaxLiteral) {
+    l.suffix.erase(0, l.suffix.size() - kMaxLiteral);
+  }
+  l.required.resize(std::min(l.required.size(), kMaxLiteral));
+  return l;
+}
+
+/// Literals of `a` followed by `b`: a's suffix and b's prefix are adjacent
+/// in every match, so their concatenation is required too.
+Literals ConcatLiterals(const Literals& a, const Literals& b) {
+  if (a.exact && b.exact) return Bounded(Literals::Exact(a.prefix + b.prefix));
+  Literals out;
+  out.prefix = a.exact ? a.prefix + b.prefix : a.prefix;
+  out.suffix = b.exact ? a.suffix + b.suffix : b.suffix;
+  const std::string joint = a.suffix + b.prefix;
+  out.required = Longest(
+      {&a.required, &b.required, &joint, &out.prefix, &out.suffix});
+  return Bounded(std::move(out));
+}
+
+/// Literals of `a` repeated one or more times.
+Literals PlusLiterals(Literals a) {
+  a.exact = false;
+  return a;
+}
 
 /// NFA fragment under construction: a start state plus the dangling "out"
 /// slots that the next fragment will be patched into. Each dangling slot is
@@ -10,6 +74,7 @@ namespace {
 struct Fragment {
   int start;
   std::vector<std::pair<int, int>> dangling;
+  Literals literals;
 };
 
 }  // namespace
@@ -32,6 +97,9 @@ class RegexCompiler {
     regex.pattern_ = std::string(pattern_);
     regex.states_ = std::move(states_);
     regex.start_ = frag.start;
+    regex.required_ = std::move(frag.literals.required);
+    regex.anchored_ = regex.states_[frag.start].kind ==
+                      Regex::State::Kind::kAssertStart;
     return regex;
   }
 
@@ -66,7 +134,7 @@ class RegexCompiler {
       int split = AddState(Regex::State::Kind::kSplit);
       states_[split].next = left.start;
       states_[split].next2 = right.start;
-      Fragment merged;
+      Fragment merged;  // alternation: no literal is known
       merged.start = split;
       merged.dangling = left.dangling;
       merged.dangling.insert(merged.dangling.end(), right.dangling.begin(),
@@ -86,24 +154,57 @@ class RegexCompiler {
         result = std::move(next);
         have_any = true;
       } else {
-        Patch(result.dangling, next.start);
-        result.dangling = std::move(next.dangling);
+        result = Concat(std::move(result), std::move(next));
       }
     }
-    if (!have_any) {
-      // Epsilon: a split whose both arms dangle to the same target.
-      int split = AddState(Regex::State::Kind::kSplit);
-      result.start = split;
-      result.dangling = {{split, 0}, {split, 1}};
-    }
+    if (!have_any) return Epsilon();
     return result;
+  }
+
+  /// Matches the empty string: a split whose both arms dangle to the same
+  /// target.
+  Fragment Epsilon() {
+    int split = AddState(Regex::State::Kind::kSplit);
+    Fragment epsilon;
+    epsilon.start = split;
+    epsilon.dangling = {{split, 0}, {split, 1}};
+    epsilon.literals = Literals::Exact("");
+    return epsilon;
   }
 
   /// Concatenates two fragments (a then b).
   Fragment Concat(Fragment a, Fragment b) {
     Patch(a.dangling, b.start);
     a.dangling = std::move(b.dangling);
+    a.literals = ConcatLiterals(a.literals, b.literals);
     return a;
+  }
+
+  /// A one-byte-class state; a single-byte class is a literal character.
+  Fragment ClassFragment(const std::bitset<256>& cls) {
+    int state = AddState(Regex::State::Kind::kClass);
+    states_[state].cls = cls;
+    Fragment frag;
+    frag.start = state;
+    frag.dangling = {{state, 0}};
+    if (cls.count() == 1) {
+      for (size_t b = 0; b < cls.size(); ++b) {
+        if (cls.test(b)) {
+          frag.literals = Literals::Exact(std::string(1, static_cast<char>(b)));
+        }
+      }
+    }
+    return frag;
+  }
+
+  /// A zero-width assertion state ('^' or '$'): matches the empty string.
+  Fragment AssertFragment(Regex::State::Kind kind) {
+    int state = AddState(kind);
+    Fragment frag;
+    frag.start = state;
+    frag.dangling = {{state, 0}};
+    frag.literals = Literals::Exact("");
+    return frag;
   }
 
   /// Re-emits a fresh copy of the atom spanning [begin, end) by re-parsing
@@ -151,7 +252,7 @@ class RegexCompiler {
       int split = AddState(Regex::State::Kind::kSplit);
       states_[split].next = copy.start;
       Patch(copy.dangling, split);
-      Fragment star;
+      Fragment star;  // optional: no literal is known
       star.start = split;
       star.dangling = {{split, 1}};
       tail = star;
@@ -169,7 +270,7 @@ class RegexCompiler {
         }
         int split = AddState(Regex::State::Kind::kSplit);
         states_[split].next = copy.start;
-        Fragment optional;
+        Fragment optional;  // no literal is known
         optional.start = split;
         optional.dangling = std::move(copy.dangling);
         optional.dangling.push_back({split, 1});
@@ -182,12 +283,7 @@ class RegexCompiler {
     }
     if (required.has_value()) return *required;
     if (tail.has_value()) return *tail;
-    // {0,0}: epsilon.
-    int split = AddState(Regex::State::Kind::kSplit);
-    Fragment epsilon;
-    epsilon.start = split;
-    epsilon.dangling = {{split, 0}, {split, 1}};
-    return epsilon;
+    return Epsilon();  // {0,0}
   }
 
   // repeat := atom ('*' | '+' | '?' | '{m}' | '{m,}' | '{m,n}')*
@@ -204,6 +300,7 @@ class RegexCompiler {
         Patch(frag.dangling, split);
         frag.start = split;
         frag.dangling = {{split, 1}};
+        frag.literals = Literals();
       } else if (c == '+') {
         Advance();
         int split = AddState(Regex::State::Kind::kSplit);
@@ -211,11 +308,12 @@ class RegexCompiler {
         Patch(frag.dangling, split);
         frag.dangling = {{split, 1}};
         // start unchanged: must pass through the atom at least once
+        frag.literals = PlusLiterals(std::move(frag.literals));
       } else if (c == '?') {
         Advance();
         int split = AddState(Regex::State::Kind::kSplit);
         states_[split].next = frag.start;
-        Fragment opt;
+        Fragment opt;  // optional: no literal is known
         opt.start = split;
         opt.dangling = std::move(frag.dangling);
         opt.dangling.push_back({split, 1});
@@ -274,28 +372,15 @@ class RegexCompiler {
       case '[':
         return ParseClass();
       case '.': {
-        int state = AddState(Regex::State::Kind::kClass);
-        states_[state].cls.set();
-        states_[state].cls.reset('\n');
-        Fragment frag;
-        frag.start = state;
-        frag.dangling = {{state, 0}};
-        return frag;
+        std::bitset<256> cls;
+        cls.set();
+        cls.reset('\n');
+        return ClassFragment(cls);
       }
-      case '^': {
-        int state = AddState(Regex::State::Kind::kAssertStart);
-        Fragment frag;
-        frag.start = state;
-        frag.dangling = {{state, 0}};
-        return frag;
-      }
-      case '$': {
-        int state = AddState(Regex::State::Kind::kAssertEnd);
-        Fragment frag;
-        frag.start = state;
-        frag.dangling = {{state, 0}};
-        return frag;
-      }
+      case '^':
+        return AssertFragment(Regex::State::Kind::kAssertStart);
+      case '$':
+        return AssertFragment(Regex::State::Kind::kAssertEnd);
       case '*':
       case '+':
       case '?':
@@ -304,20 +389,12 @@ class RegexCompiler {
       case '\\': {
         std::bitset<256> cls;
         GS_RETURN_IF_ERROR(ParseEscape(&cls));
-        int state = AddState(Regex::State::Kind::kClass);
-        states_[state].cls = cls;
-        Fragment frag;
-        frag.start = state;
-        frag.dangling = {{state, 0}};
-        return frag;
+        return ClassFragment(cls);
       }
       default: {
-        int state = AddState(Regex::State::Kind::kClass);
-        states_[state].cls.set(static_cast<unsigned char>(c));
-        Fragment frag;
-        frag.start = state;
-        frag.dangling = {{state, 0}};
-        return frag;
+        std::bitset<256> cls;
+        cls.set(static_cast<unsigned char>(c));
+        return ClassFragment(cls);
       }
     }
   }
@@ -411,12 +488,7 @@ class RegexCompiler {
       }
     }
     if (negate) cls = ~cls;
-    int state = AddState(Regex::State::Kind::kClass);
-    states_[state].cls = cls;
-    Fragment frag;
-    frag.start = state;
-    frag.dangling = {{state, 0}};
-    return frag;
+    return ClassFragment(cls);
   }
 
   std::string_view pattern_;
@@ -455,7 +527,7 @@ void Regex::AddState(int state, size_t pos, size_t len, std::vector<int>* list,
 
 bool Regex::Run(std::string_view text, bool anchored_start,
                 bool require_full) const {
-  std::vector<int> current, next;
+  std::vector<int> current, next, stepped;
   std::vector<uint32_t> seen(states_.size(), 0);
   uint32_t gen = 0;
   const size_t len = text.size();
@@ -464,8 +536,8 @@ bool Regex::Run(std::string_view text, bool anchored_start,
     ++gen;
     // Re-seed the start state at every position for unanchored search.
     // Re-seeding uses the same generation as this step's propagation so
-    // duplicate states collapse.
-    std::vector<int> stepped = std::move(next);
+    // duplicate states collapse. Swapping keeps every frontier's capacity.
+    std::swap(stepped, next);
     next.clear();
     current.clear();
     for (int state : stepped) {
@@ -490,6 +562,15 @@ bool Regex::Run(std::string_view text, bool anchored_start,
 }
 
 bool Regex::Matches(std::string_view text) const {
+  if (!required_.empty() &&
+      memmem(text.data(), text.size(), required_.data(), required_.size()) ==
+          nullptr) {
+    return false;
+  }
+  return Run(text, /*anchored_start=*/anchored_, /*require_full=*/false);
+}
+
+bool Regex::MatchesPlain(std::string_view text) const {
   return Run(text, /*anchored_start=*/false, /*require_full=*/false);
 }
 

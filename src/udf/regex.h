@@ -27,8 +27,16 @@ class Regex {
   static Result<Regex> Compile(std::string_view pattern);
 
   /// Unanchored search: does any substring of `text` match? A leading '^'
-  /// or trailing '$' in the pattern constrains as usual.
+  /// or trailing '$' in the pattern constrains as usual. Texts that lack
+  /// the pattern's required literal are rejected by one memmem before the
+  /// NFA runs, and a pattern that starts with '^' simulates from position
+  /// 0 only, stopping as soon as no thread is alive.
   bool Matches(std::string_view text) const;
+
+  /// Matches without the literal prefilter or the '^' shortcut: the plain
+  /// unanchored simulation, kept as the reference the shortcuts are
+  /// checked against.
+  bool MatchesPlain(std::string_view text) const;
 
   /// Anchored match of the entire text.
   bool FullMatch(std::string_view text) const;
@@ -37,6 +45,12 @@ class Regex {
   size_t num_states() const { return states_.size(); }
 
   const std::string& pattern() const { return pattern_; }
+
+  /// A literal every match contains (empty when none is known), derived
+  /// from the parse: adjacent single characters concatenate; alternation,
+  /// optional pieces ('*', '?', {0,n}), multi-byte classes and '.' break
+  /// the run; x{m,n} counts as m copies of x followed by an optional part.
+  const std::string& required_literal() const { return required_; }
 
  private:
   struct State {
@@ -65,6 +79,9 @@ class Regex {
   std::string pattern_;
   std::vector<State> states_;
   int start_ = -1;
+  std::string required_;
+  /// The start state is '^': no match can begin past position 0.
+  bool anchored_ = false;
 
   friend class RegexCompiler;
 };

@@ -378,6 +378,33 @@ TEST(EngineTest, CustomProtocolViaDdl) {
   EXPECT_EQ((*row)[1].uint_value(), packet.orig_len);
 }
 
+TEST(EngineTest, ProtocolDdlWithMismatchedExtractorTypeFailsClosed) {
+  // A field named after a built-in extractor must carry the extractor's
+  // type: the interpreter packs its value in that type's layout.
+  for (const char* ddl : {"CREATE PROTOCOL MINI (time UINT INCREASING, "
+                          "srcIP UINT)",
+                          "CREATE PROTOCOL MINI (time FLOAT INCREASING, "
+                          "len UINT)"}) {
+    Engine engine;
+    engine.AddInterface("eth0");
+    Status status = engine.ExecuteDdl(ddl);
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << ddl;
+    // Nothing was declared, so no query can reach the protocol either.
+    auto info = engine.AddQuery(
+        "DEFINE { query_name m; } SELECT time FROM eth0.MINI");
+    EXPECT_FALSE(info.ok());
+    // The engine still runs packets through well-typed protocols.
+    ASSERT_TRUE(engine
+                    .AddQuery("DEFINE { query_name q; } "
+                              "SELECT time, len FROM eth0.PKT")
+                    .ok());
+    EXPECT_TRUE(engine
+                    .InjectPacket("eth0",
+                                  MakeTcpPacket(kNanosPerSecond, 1, 2, "abc"))
+                    .ok());
+  }
+}
+
 TEST(EngineTest, ExternalStreamViaInjectRow) {
   Engine engine;
   // The "write your own query node" path: declare a stream and feed it.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.h"
 #include "expr/codegen.h"
 #include "ops/select_project.h"
 #include "rts/punctuation.h"
@@ -192,6 +195,187 @@ TEST_F(SelectProjectTest, ParamChangeTakesEffectImmediately) {
   Send(2, 50);
   node.Poll(10);
   EXPECT_EQ(node.tuples_out(), 1u);  // 50 > 10
+}
+
+// --- Byte-copy projection vs. the VM ---
+
+/// Fixed-width fields of every projectable type ahead of a BOOL and a
+/// STRING, with a field behind the string.
+StreamSchema WideSchema() {
+  std::vector<FieldDef> fields;
+  fields.push_back({"t", DataType::kUint, OrderSpec::Increasing()});
+  fields.push_back({"flag", DataType::kBool, OrderSpec::None()});
+  fields.push_back({"ip", DataType::kIp, OrderSpec::None()});
+  fields.push_back({"x", DataType::kInt, OrderSpec::None()});
+  fields.push_back({"f", DataType::kFloat, OrderSpec::None()});
+  fields.push_back({"s", DataType::kString, OrderSpec::None()});
+  fields.push_back({"v", DataType::kUint, OrderSpec::None()});
+  return StreamSchema("wide", StreamKind::kStream, fields);
+}
+
+/// Two nodes over the same input: one whose projections are plain loads
+/// (byte-copy eligible), one whose projections are the same loads followed
+/// by an identity cast instruction, which the VM must evaluate.
+class ByteProjectionTest : public ::testing::Test {
+ protected:
+  void Build(bool with_predicate, const std::vector<size_t>& fields) {
+    ASSERT_TRUE(registry_.DeclareStream(WideSchema()).ok());
+    const StreamSchema input = WideSchema();
+    std::vector<FieldDef> out_fields;
+    for (size_t f : fields) out_fields.push_back(input.field(f));
+    for (bool copy : {true, false}) {
+      SelectProjectNode::Spec spec;
+      spec.name = copy ? "copy" : "vm";
+      spec.input_schema = input;
+      spec.output_schema =
+          StreamSchema(spec.name, StreamKind::kStream, out_fields);
+      if (with_predicate) {
+        // WHERE t > 5 AND x < 1000: runs on raw bytes in both nodes.
+        spec.predicate = MustCompile(expr::MakeBinaryIr(
+            BinaryOp::kAnd, DataType::kBool,
+            expr::MakeBinaryIr(BinaryOp::kGt, DataType::kBool,
+                               expr::MakeFieldRef(0, 0, DataType::kUint, "t"),
+                               expr::MakeConst(Value::Uint(5))),
+            expr::MakeBinaryIr(BinaryOp::kLt, DataType::kBool,
+                               expr::MakeFieldRef(0, 3, DataType::kInt, "x"),
+                               expr::MakeConst(Value::Int(1000)))));
+      }
+      for (size_t f : fields) {
+        const DataType type = input.field(f).type;
+        CompiledExpr load =
+            MustCompile(expr::MakeFieldRef(0, f, type, input.field(f).name));
+        if (!copy) {
+          load.code.push_back(
+              {expr::ByteOp::kCast, static_cast<uint16_t>(type), 0});
+        }
+        spec.projections.push_back(std::move(load));
+        spec.punctuation_source.push_back(-1);
+      }
+      ASSERT_TRUE(registry_.DeclareStream(spec.output_schema).ok());
+      auto in = registry_.Subscribe("wide", 1 << 12);
+      ASSERT_TRUE(in.ok());
+      auto node = std::make_unique<SelectProjectNode>(
+          std::move(spec), *in, &registry_,
+          std::make_shared<std::vector<Value>>());
+      auto out = registry_.Subscribe(copy ? "copy" : "vm", 1 << 12);
+      ASSERT_TRUE(out.ok());
+      (copy ? copy_ : vm_) = std::move(node);
+      (copy ? copy_out_ : vm_out_) = *out;
+    }
+  }
+
+  /// A valid encoding, then (mostly) one hostile edit.
+  ByteBuffer HostilePayload(Rng& rng) {
+    rts::Row row = {Value::Uint(rng.NextBelow(12)),
+                    Value::Bool(rng.NextBool(0.5)),
+                    Value::Ip(static_cast<uint32_t>(rng.Next())),
+                    Value::Int(static_cast<int64_t>(rng.NextBelow(2000)) - 500),
+                    Value::Float(rng.NextDouble() * 100),
+                    Value::String(std::string(rng.NextBelow(6), 'z')),
+                    Value::Uint(rng.Next())};
+    ByteBuffer bytes;
+    rts::TupleCodec(WideSchema()).Encode(row, &bytes);
+    const size_t string_at = 8 + 1 + 4 + 8 + 8;
+    switch (rng.NextBelow(7)) {
+      case 0:  // truncated
+        bytes.resize(rng.NextBelow(bytes.size()));
+        break;
+      case 1:  // trailing bytes
+        bytes.resize(bytes.size() + 1 + rng.NextBelow(8), 0x5a);
+        break;
+      case 2: {  // string length overrunning the buffer
+        const uint32_t len =
+            rng.NextBool(0.5) ? 0xffffffffu : static_cast<uint32_t>(bytes.size());
+        std::memcpy(bytes.data() + string_at, &len, sizeof(len));
+        break;
+      }
+      case 3:  // a BOOL byte that is neither 0 nor 1
+        bytes[8] = 0x02;
+        break;
+      case 4:  // a NaN float with payload bits
+        for (size_t b = 0; b < 8; ++b) bytes[21 + b] = 0xff;
+        break;
+      default:
+        break;  // well-formed
+    }
+    return bytes;
+  }
+
+  std::vector<ByteBuffer> Drain(const rts::Subscription& out) {
+    std::vector<ByteBuffer> payloads;
+    rts::StreamMessage message;
+    while (out->TryPop(&message)) {
+      if (message.kind == rts::StreamMessage::Kind::kTuple) {
+        payloads.push_back(message.payload);
+      }
+    }
+    return payloads;
+  }
+
+  void RunHostileCorpus() {
+    Rng rng(15);
+    for (int round = 0; round < 40; ++round) {
+      for (int i = 0; i < 50; ++i) {
+        rts::StreamMessage message;
+        message.kind = rts::StreamMessage::Kind::kTuple;
+        message.payload = HostilePayload(rng);
+        registry_.Publish("wide", message);
+      }
+      copy_->Poll(1 << 12);
+      vm_->Poll(1 << 12);
+      EXPECT_EQ(Drain(copy_out_), Drain(vm_out_)) << "round " << round;
+    }
+    EXPECT_EQ(copy_->tuples_in(), vm_->tuples_in());
+    EXPECT_EQ(copy_->tuples_out(), vm_->tuples_out());
+    EXPECT_EQ(copy_->eval_errors(), vm_->eval_errors());
+    EXPECT_EQ(copy_->tuples_in(), 2000u);
+    EXPECT_GT(copy_->tuples_out(), 0u);
+    EXPECT_GT(copy_->eval_errors(), 0u);
+  }
+
+  rts::StreamRegistry registry_;
+  std::unique_ptr<SelectProjectNode> copy_, vm_;
+  rts::Subscription copy_out_, vm_out_;
+};
+
+TEST_F(ByteProjectionTest, FilteredCopyMatchesVmOnHostilePayloads) {
+  Build(/*with_predicate=*/true, {4, 0, 2, 3});  // f, t, ip, x
+  ASSERT_TRUE(copy_->has_byte_projection());
+  ASSERT_TRUE(copy_->has_raw_filter());
+  ASSERT_FALSE(vm_->has_byte_projection());
+  RunHostileCorpus();
+}
+
+TEST_F(ByteProjectionTest, UnfilteredCopyMatchesVmOnHostilePayloads) {
+  Build(/*with_predicate=*/false, {0, 2, 3, 4});  // adjacent runs merge
+  ASSERT_TRUE(copy_->has_byte_projection());
+  RunHostileCorpus();
+}
+
+TEST(ByteProjectionShapeTest, OnlyPlainFixedNonBoolLoadsCopy) {
+  const StreamSchema input = WideSchema();
+  auto eligible = [&input](size_t field) {
+    rts::StreamRegistry registry;
+    EXPECT_TRUE(registry.DeclareStream(input).ok());
+    SelectProjectNode::Spec spec;
+    spec.name = "o";
+    spec.input_schema = input;
+    spec.output_schema =
+        StreamSchema("o", StreamKind::kStream, {input.field(field)});
+    spec.projections.push_back(MustCompile(expr::MakeFieldRef(
+        0, field, input.field(field).type, input.field(field).name)));
+    spec.punctuation_source = {-1};
+    EXPECT_TRUE(registry.DeclareStream(spec.output_schema).ok());
+    auto in = registry.Subscribe("wide", 4);
+    SelectProjectNode node(std::move(spec), *in, &registry,
+                           std::make_shared<std::vector<Value>>());
+    return node.has_byte_projection();
+  };
+  EXPECT_TRUE(eligible(0));
+  EXPECT_FALSE(eligible(1));  // BOOL: decoding normalizes the byte
+  EXPECT_TRUE(eligible(2));
+  EXPECT_FALSE(eligible(5));  // STRING: variable width
+  EXPECT_FALSE(eligible(6));  // behind a STRING: no fixed offset
 }
 
 }  // namespace
