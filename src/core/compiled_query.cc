@@ -127,7 +127,7 @@ Status InstantiatePlan(const plan::PlanPtr& node,
     }
 
     case PlanKind::kAggregate: {
-      ops::OrderedAggregateNode::Spec spec;
+      ops::AggregateNode::Spec spec;
       spec.name = output_name;
       spec.output_batch = ctx->output_batch;
       GS_ASSIGN_OR_RETURN(spec.input_schema,
@@ -144,9 +144,13 @@ Status InstantiatePlan(const plan::PlanPtr& node,
                             expr::Compile(node->group_keys[k],
                                           ctx->param_values));
         spec.keys.push_back(std::move(compiled));
-        spec.key_punctuation_source.push_back(PunctuationSource(
-            node->group_keys[k], spec.input_schema,
-            plan::ImputeExprOrder(node->group_keys[k], spec.input_schema)));
+      }
+      if (spec.ordered_key >= 0) {
+        const IrPtr& ordered =
+            node->group_keys[static_cast<size_t>(spec.ordered_key)];
+        spec.ordered_key_source = PunctuationSource(
+            ordered, spec.input_schema,
+            plan::ImputeExprOrder(ordered, spec.input_schema));
       }
       spec.agg_specs = node->aggregates;
       for (const expr::AggregateSpec& agg : node->aggregates) {

@@ -382,6 +382,14 @@ Result<QueryInfo> Engine::AddQuery(
 
   // Split into LFTA/HFTA.
   GS_ASSIGN_OR_RETURN(plan::SplitQuery split, plan::SplitPlan(planned));
+  if (split.split_aggregation &&
+      (options_.lfta_hash_log2 < 0 ||
+       options_.lfta_hash_log2 > ops::kMaxLftaHashLog2)) {
+    return Status::InvalidArgument(
+        "lfta_hash_log2 must be in [0, " +
+        std::to_string(ops::kMaxLftaHashLog2) + "], got " +
+        std::to_string(options_.lfta_hash_log2));
+  }
 
   QueryInfo info;
   info.name = split.name;

@@ -75,7 +75,8 @@ struct EngineOptions {
   /// StreamBatch (up to batch_max_size messages), so the message capacity
   /// is channel_capacity * batch_max_size when sources batch fully.
   size_t channel_capacity = 8192;
-  /// log2 of the LFTA direct-mapped hash table slot count.
+  /// log2 of the LFTA direct-mapped hash table slot count, in [0, 24];
+  /// AddQuery rejects a split aggregation under any other value.
   int lfta_hash_log2 = 12;
   /// Packet sources emit a punctuation every this many packets.
   size_t punctuation_interval = 256;

@@ -13,6 +13,17 @@ using expr::AggregateSpec;
 using expr::Value;
 using gsql::DataType;
 
+namespace {
+
+/// sum + v * weight modulo 2^64, as the VM does INT arithmetic: a signed
+/// overflow would be undefined behaviour.
+int64_t WrapAdd(int64_t sum, int64_t v, uint64_t weight = 1) {
+  return static_cast<int64_t>(static_cast<uint64_t>(sum) +
+                              static_cast<uint64_t>(v) * weight);
+}
+
+}  // namespace
+
 GroupAccumulator::GroupAccumulator(const std::vector<AggregateSpec>* specs)
     : specs_(specs), cells_(specs->size()) {}
 
@@ -31,7 +42,7 @@ void GroupAccumulator::Update(
         const Value& v = *args[i];
         switch (v.type()) {
           case DataType::kInt:
-            cell.sum_int += v.int_value() * static_cast<int64_t>(weight);
+            cell.sum_int = WrapAdd(cell.sum_int, v.int_value(), weight);
             break;
           case DataType::kUint:
             cell.sum_uint += v.uint_value() * weight;
@@ -79,7 +90,7 @@ void GroupAccumulator::Merge(const GroupAccumulator& other) {
         cell.count += in.count;
         break;
       case AggFn::kSum:
-        cell.sum_int += in.sum_int;
+        cell.sum_int = WrapAdd(cell.sum_int, in.sum_int);
         cell.sum_uint += in.sum_uint;
         cell.sum_float += in.sum_float;
         break;
@@ -170,13 +181,31 @@ bool RowEq::operator()(const rts::Row& a, const rts::Row& b) const {
   return true;
 }
 
-OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
-                                           rts::StreamRegistry* registry,
-                                           rts::ParamBlock params)
+std::optional<Value> TranslateBound(expr::Evaluator* vm,
+                                    const expr::CompiledExpr& fn,
+                                    const gsql::StreamSchema& input_schema,
+                                    size_t source, const Value& bound,
+                                    const std::vector<Value>* params) {
+  rts::Row synthetic;
+  synthetic.reserve(input_schema.num_fields());
+  for (size_t f = 0; f < input_schema.num_fields(); ++f) {
+    synthetic.push_back(Value::Default(input_schema.field(f).type));
+  }
+  synthetic[source] = bound;
+  expr::EvalContext ctx;
+  ctx.row0 = &synthetic;
+  ctx.params = params;
+  expr::EvalOutput out;
+  if (!vm->Eval(fn, ctx, &out).ok() || !out.has_value) return std::nullopt;
+  return std::move(out.value);
+}
+
+AggregateNode::AggregateNode(Spec spec, rts::Subscription input,
+                             rts::StreamRegistry* registry,
+                             rts::ParamBlock params)
     : QueryNode(spec.name),
       spec_(std::move(spec)),
       input_(std::move(input)),
-      registry_(registry),
       params_(std::move(params)),
       input_codec_(spec_.input_schema),
       output_codec_(spec_.output_schema),
@@ -184,7 +213,7 @@ OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
   RegisterInput(input_);
 }
 
-size_t OrderedAggregateNode::Poll(size_t budget) {
+size_t AggregateNode::Poll(size_t budget) {
   size_t processed = 0;
   rts::StreamBatch batch;
   // Batch-at-a-time: one pop per ring slot, then a tight loop over its
@@ -205,8 +234,8 @@ size_t OrderedAggregateNode::Poll(size_t budget) {
   return processed;
 }
 
-void OrderedAggregateNode::ProcessTuple(const ByteBuffer& payload,
-                                        uint32_t weight) {
+void AggregateNode::ProcessTuple(const ByteBuffer& payload,
+                                 uint32_t weight) {
   ++tuples_in_;
   auto row = input_codec_.Decode(ByteSpan(payload.data(), payload.size()));
   if (!row.ok()) {
@@ -229,29 +258,17 @@ void OrderedAggregateNode::ProcessTuple(const ByteBuffer& payload,
     keys.push_back(std::move(out.value));
   }
 
-  // Group closing: a tuple whose ordered key exceeds all open groups
-  // closes and flushes them (§2.1). For a banded key the guarantee is
-  // weaker — late tuples up to `band` below the running maximum may still
-  // arrive — so only groups below (key - band) close.
   if (spec_.ordered_key >= 0) {
     const Value& ordered = keys[static_cast<size_t>(spec_.ordered_key)];
     if (epoch_.has_value() && ordered.Compare(*epoch_) > 0) {
-      Value close_bound = ReduceByBand(ordered, spec_.ordered_key_band);
-      FlushGroups(close_bound);
-      rts::Punctuation punctuation;
-      punctuation.bounds.emplace_back(
-          static_cast<size_t>(spec_.ordered_key), close_bound);
-      rts::StreamMessage punct_message = rts::MakePunctuationMessage(
-          punctuation, spec_.output_schema);
-      StampOutput(&punct_message);
-      writer_.Write(std::move(punct_message));
+      OnAdvance(ordered);
     }
     if (!epoch_.has_value() || ordered.Compare(*epoch_) > 0) {
       epoch_ = ordered;
     }
   }
 
-  std::vector<std::optional<Value>> args(spec_.agg_specs.size());
+  Args args(spec_.agg_specs.size());
   for (size_t i = 0; i < spec_.agg_args.size(); ++i) {
     if (!spec_.agg_args[i].has_value()) continue;
     expr::EvalOutput out;
@@ -263,60 +280,92 @@ void OrderedAggregateNode::ProcessTuple(const ByteBuffer& payload,
     args[i] = std::move(out.value);
   }
 
-  auto it = groups_.find(keys);
-  if (it == groups_.end()) {
-    it = groups_.emplace(std::move(keys),
-                         GroupAccumulator(&spec_.agg_specs)).first;
-    open_groups_.Set(groups_.size());
-  }
-  // HFTA inputs are LFTA partials or operator output (weight 1); only a
-  // raw source stream under L1 sampling carries a larger weight, and a
-  // non-split aggregate must scale by it just like the LFTA table does.
-  it->second.Update(args, weight);
+  // Under L1 sampling a source tuple stands for `weight` offered ones
+  // (stamped on the message at the sampling decision); folding with it
+  // keeps COUNT/SUM unbiased. LFTA partials and operator output carry 1.
+  Fold(std::move(keys), args, weight);
 }
 
-void OrderedAggregateNode::ProcessPunctuation(const ByteBuffer& payload) {
-  if (spec_.ordered_key < 0) return;
+void AggregateNode::ProcessPunctuation(const ByteBuffer& payload) {
+  if (spec_.ordered_key < 0 || spec_.ordered_key_source < 0) return;
   auto punctuation = rts::DecodePunctuation(
       ByteSpan(payload.data(), payload.size()), spec_.input_schema);
   if (!punctuation.ok()) return;
-  int source = spec_.key_punctuation_source[
-      static_cast<size_t>(spec_.ordered_key)];
-  if (source < 0) return;
-  auto bound = punctuation->BoundFor(static_cast<size_t>(source));
+  const size_t source = static_cast<size_t>(spec_.ordered_key_source);
+  auto bound = punctuation->BoundFor(source);
   if (!bound.has_value()) return;
+  std::optional<Value> key_bound = TranslateBound(
+      &vm_, spec_.keys[static_cast<size_t>(spec_.ordered_key)],
+      spec_.input_schema, source, *bound, params_.get());
+  if (key_bound.has_value()) OnPunctuation(*key_bound);
+}
 
-  // Translate the input-field bound through the key expression.
-  rts::Row synthetic;
-  synthetic.reserve(spec_.input_schema.num_fields());
-  for (size_t f = 0; f < spec_.input_schema.num_fields(); ++f) {
-    synthetic.push_back(Value::Default(spec_.input_schema.field(f).type));
+void AggregateNode::EmitGroup(const rts::Row& keys, const rts::Row& aggs) {
+  rts::Row out = keys;
+  out.insert(out.end(), aggs.begin(), aggs.end());
+  rts::StreamMessage message;
+  message.kind = rts::StreamMessage::Kind::kTuple;
+  output_codec_.Encode(out, &message.payload);
+  // Closed groups and ejected partials inherit the trace context of the
+  // message that emitted them, so a traced tuple's e2e latency spans
+  // inject → group close and the span chain crosses the LFTA table.
+  StampOutput(&message);
+  writer_.Write(std::move(message));
+  ++tuples_out_;
+}
+
+void AggregateNode::EmitPunctuation(const Value& bound) {
+  rts::Punctuation punctuation;
+  punctuation.bounds.emplace_back(static_cast<size_t>(spec_.ordered_key),
+                                  bound);
+  rts::StreamMessage message =
+      rts::MakePunctuationMessage(punctuation, spec_.output_schema);
+  StampOutput(&message);
+  writer_.Write(std::move(message));
+}
+
+void AggregateNode::Flush() {
+  CloseAll();
+  writer_.Flush();  // Flush may run outside a Poll round
+}
+
+OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
+                                           rts::StreamRegistry* registry,
+                                           rts::ParamBlock params)
+    : AggregateNode(std::move(spec), std::move(input), registry,
+                    std::move(params)) {}
+
+void OrderedAggregateNode::Fold(rts::Row keys, const Args& args,
+                                uint32_t weight) {
+  auto it = groups_.find(keys);
+  if (it == groups_.end()) {
+    it = groups_.emplace(std::move(keys),
+                         GroupAccumulator(&spec().agg_specs)).first;
+    open_groups_.Set(groups_.size());
   }
-  synthetic[static_cast<size_t>(source)] = *bound;
-  expr::EvalContext ctx;
-  ctx.row0 = &synthetic;
-  ctx.params = params_.get();
-  expr::EvalOutput out;
-  if (!vm_.Eval(spec_.keys[static_cast<size_t>(spec_.ordered_key)], ctx,
-                &out).ok() ||
-      !out.has_value) {
-    return;
-  }
-  FlushGroups(out.value);
-  rts::Punctuation forward;
-  forward.bounds.emplace_back(static_cast<size_t>(spec_.ordered_key),
-                              out.value);
-  rts::StreamMessage forward_message =
-      rts::MakePunctuationMessage(forward, spec_.output_schema);
-  StampOutput(&forward_message);
-  writer_.Write(std::move(forward_message));
+  it->second.Update(args, weight);
+}
+
+void OrderedAggregateNode::OnAdvance(const Value& ordered) {
+  // A tuple whose ordered key exceeds all open groups closes them (§2.1).
+  // For a banded key the guarantee is weaker — late tuples up to `band`
+  // below the running maximum may still arrive — so only groups below
+  // (key - band) close.
+  OnPunctuation(ReduceByBand(ordered, spec().ordered_key_band));
+}
+
+void OrderedAggregateNode::OnPunctuation(const Value& bound) {
+  // An upstream punctuation is a hard guarantee, not band-relative.
+  FlushGroups(bound);
+  EmitPunctuation(bound);
 }
 
 void OrderedAggregateNode::FlushGroups(const std::optional<Value>& bound) {
+  const int ordered_key = spec().ordered_key;
   std::vector<const rts::Row*> to_flush;
   for (const auto& [keys, acc] : groups_) {
-    if (!bound.has_value() || spec_.ordered_key < 0 ||
-        keys[static_cast<size_t>(spec_.ordered_key)].Compare(*bound) < 0) {
+    if (!bound.has_value() || ordered_key < 0 ||
+        keys[static_cast<size_t>(ordered_key)].Compare(*bound) < 0) {
       to_flush.push_back(&keys);
     }
   }
@@ -332,31 +381,11 @@ void OrderedAggregateNode::FlushGroups(const std::optional<Value>& bound) {
             });
   for (const rts::Row* keys : to_flush) {
     auto it = groups_.find(*keys);
-    EmitGroup(it->first, it->second);
+    EmitGroup(it->first, it->second.Finalize());
+    ++groups_flushed_;
     groups_.erase(it);
   }
   open_groups_.Set(groups_.size());
-}
-
-void OrderedAggregateNode::EmitGroup(const rts::Row& keys,
-                                     const GroupAccumulator& acc) {
-  rts::Row out = keys;
-  rts::Row aggs = acc.Finalize();
-  out.insert(out.end(), aggs.begin(), aggs.end());
-  rts::StreamMessage message;
-  message.kind = rts::StreamMessage::Kind::kTuple;
-  output_codec_.Encode(out, &message.payload);
-  // Flushed groups inherit the trace context of the message that closed
-  // them, so a traced tuple's e2e latency spans inject → group close.
-  StampOutput(&message);
-  writer_.Write(std::move(message));
-  ++tuples_out_;
-  ++groups_flushed_;
-}
-
-void OrderedAggregateNode::Flush() {
-  FlushGroups(std::nullopt);
-  writer_.Flush();  // Flush may run outside a Poll round
 }
 
 void OrderedAggregateNode::RegisterTelemetry(

@@ -63,16 +63,29 @@ struct RowEq {
   bool operator()(const rts::Row& a, const rts::Row& b) const;
 };
 
-/// Ordered group-by/aggregation (§2.1): the group key contains an ordered
-/// attribute; when a tuple arrives whose ordered key exceeds every open
-/// group, all open groups are closed and flushed to the output. With no
-/// ordered key (ordered_key = -1) the state is unbounded and emits only on
-/// Flush() — permitted but warned about, as in the paper.
+/// Maps a punctuation bound on input field `source` through `fn`, an
+/// order-preserving function of that field alone: `fn` is evaluated on a
+/// synthetic row whose only meaningful field is the bounded one (the rest
+/// hold defaults), so the result bounds `fn`'s output. nullopt when the
+/// evaluation fails or misses.
+std::optional<expr::Value> TranslateBound(
+    expr::Evaluator* vm, const expr::CompiledExpr& fn,
+    const gsql::StreamSchema& input_schema, size_t source,
+    const expr::Value& bound, const std::vector<expr::Value>* params);
+
+/// The aggregation core shared by both halves of a split aggregation (§3):
+/// the LFTA's direct-mapped pre-aggregation and the HFTA's ordered
+/// group-by (which also serves unsplit aggregation and the superaggregate
+/// re-merging LFTA partials). It polls input batches, decodes each tuple,
+/// evaluates group keys and aggregate arguments, tracks the ordered key's
+/// epoch (its running maximum), translates input punctuations into bounds
+/// on the ordered key, and encodes keys plus finalized aggregates.
 ///
-/// This node serves both as the HFTA-side full aggregation and as the
-/// superaggregate of a split aggregation (the specs then re-aggregate the
-/// LFTA's subaggregate columns).
-class OrderedAggregateNode : public rts::QueryNode {
+/// A subclass supplies only its group store and close policy: how a tuple
+/// folds in (Fold), what an ordered-key advance or a translated
+/// punctuation closes (OnAdvance, OnPunctuation), and how end-of-stream
+/// empties the store (CloseAll).
+class AggregateNode : public rts::QueryNode {
  public:
   struct Spec {
     std::string name;
@@ -85,41 +98,89 @@ class OrderedAggregateNode : public rts::QueryNode {
     /// Band width of the ordered key: groups close only once the key's
     /// running maximum exceeds them by more than the band (0 = monotone).
     uint64_t ordered_key_band = 0;
-    /// The single input field each key depends on (for punctuation), -1
-    /// otherwise.
-    std::vector<int> key_punctuation_source;
+    /// The single input field the ordered key depends on, through which
+    /// input punctuations translate into key bounds; -1 otherwise.
+    int ordered_key_source = -1;
     /// Upper bound on messages per published output batch.
     size_t output_batch = 64;
   };
 
+  /// Evaluated aggregate arguments, one per spec (nullopt for COUNT(*)).
+  using Args = std::vector<std::optional<expr::Value>>;
+
+  size_t Poll(size_t budget) final;
+  void Flush() final;
+
+ protected:
+  AggregateNode(Spec spec, rts::Subscription input,
+                rts::StreamRegistry* registry, rts::ParamBlock params);
+
+  /// Folds one evaluated tuple into the group store.
+  virtual void Fold(rts::Row keys, const Args& args, uint32_t weight) = 0;
+  /// A tuple's ordered key rose above the epoch (called before the epoch
+  /// moves to it and before the tuple folds).
+  virtual void OnAdvance(const expr::Value& ordered) = 0;
+  /// An input punctuation translated to a lower bound on the ordered key.
+  virtual void OnPunctuation(const expr::Value& bound) = 0;
+  /// End of stream: emits every open group.
+  virtual void CloseAll() = 0;
+
+  /// Encodes keys followed by finalized aggregates as one output tuple.
+  void EmitGroup(const rts::Row& keys, const rts::Row& aggs);
+  /// Emits a punctuation bounding the ordered key.
+  void EmitPunctuation(const expr::Value& bound);
+
+  const Spec& spec() const { return spec_; }
+  /// Running maximum of the ordered key (nullopt before the first tuple).
+  const std::optional<expr::Value>& epoch() const { return epoch_; }
+  void set_epoch(expr::Value epoch) { epoch_ = std::move(epoch); }
+
+ private:
+  void ProcessTuple(const ByteBuffer& payload, uint32_t weight);
+  void ProcessPunctuation(const ByteBuffer& payload);
+
+  Spec spec_;
+  rts::Subscription input_;
+  rts::ParamBlock params_;
+  rts::TupleCodec input_codec_;
+  rts::TupleCodec output_codec_;
+  rts::BatchWriter writer_;
+  expr::Evaluator vm_;
+  std::optional<expr::Value> epoch_;
+};
+
+/// Ordered group-by/aggregation (§2.1): the group key contains an ordered
+/// attribute; when a tuple arrives whose ordered key exceeds every open
+/// group, the groups below it (less the band) close and flush in key
+/// order, followed by a punctuation on the close bound; a translated input
+/// punctuation closes the groups below it and is forwarded. With no
+/// ordered key (ordered_key = -1) the state is unbounded and emits only on
+/// Flush() — permitted but warned about, as in the paper.
+///
+/// This node serves both as the HFTA-side full aggregation and as the
+/// superaggregate of a split aggregation (the specs then re-aggregate the
+/// LFTA's subaggregate columns).
+class OrderedAggregateNode : public AggregateNode {
+ public:
   OrderedAggregateNode(Spec spec, rts::Subscription input,
                        rts::StreamRegistry* registry, rts::ParamBlock params);
 
-  size_t Poll(size_t budget) override;
-  void Flush() override;
   void RegisterTelemetry(telemetry::Registry* metrics) const override;
 
   size_t open_groups() const { return groups_.size(); }
   uint64_t groups_flushed() const { return groups_flushed_.value(); }
 
  private:
-  void ProcessTuple(const ByteBuffer& payload, uint32_t weight);
-  void ProcessPunctuation(const ByteBuffer& payload);
+  void Fold(rts::Row keys, const Args& args, uint32_t weight) override;
+  void OnAdvance(const expr::Value& ordered) override;
+  void OnPunctuation(const expr::Value& bound) override;
+  void CloseAll() override { FlushGroups(std::nullopt); }
+
   /// Flushes groups whose ordered key is strictly below `bound` (all groups
   /// when bound is nullopt), in key order.
   void FlushGroups(const std::optional<expr::Value>& bound);
-  void EmitGroup(const rts::Row& keys, const GroupAccumulator& acc);
 
-  Spec spec_;
-  rts::Subscription input_;
-  rts::StreamRegistry* registry_;
-  rts::ParamBlock params_;
-  rts::TupleCodec input_codec_;
-  rts::TupleCodec output_codec_;
-  rts::BatchWriter writer_;
-  expr::Evaluator vm_;
   std::unordered_map<rts::Row, GroupAccumulator, RowHash, RowEq> groups_;
-  std::optional<expr::Value> epoch_;  // max ordered-key value seen
   telemetry::Counter groups_flushed_;
   /// Mirrors groups_.size() so other threads can read the gauge without
   /// touching the (unsynchronized) group map.

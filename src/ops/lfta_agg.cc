@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "expr/vm.h"
 #include "telemetry/metric_names.h"
 
 namespace gigascope::ops {
@@ -13,7 +12,7 @@ using expr::Value;
 DirectMappedAggTable::DirectMappedAggTable(
     int log2_slots, const std::vector<expr::AggregateSpec>* specs)
     : specs_(specs) {
-  GS_CHECK(log2_slots >= 0 && log2_slots <= 24);
+  GS_CHECK(log2_slots >= 0 && log2_slots <= kMaxLftaHashLog2);
   slots_.resize(size_t{1} << log2_slots);
   mask_ = slots_.size() - 1;
 }
@@ -91,129 +90,19 @@ LftaAggregateNode::LftaAggregateNode(Spec spec, int log2_slots,
                                      rts::StreamRegistry* registry,
                                      rts::ParamBlock params,
                                      const rts::ShedState* shed)
-    : QueryNode(spec.name),
-      spec_(std::move(spec)),
-      input_(std::move(input)),
-      registry_(registry),
-      params_(std::move(params)),
-      input_codec_(spec_.input_schema),
-      output_codec_(spec_.output_schema),
-      writer_(registry, spec_.name, spec_.output_batch),
-      table_(log2_slots, &spec_.agg_specs),
-      shed_(shed) {
-  RegisterInput(input_);
-}
+    : AggregateNode(std::move(spec), std::move(input), registry,
+                    std::move(params)),
+      table_(log2_slots, &this->spec().agg_specs),
+      shed_(shed) {}
 
-size_t LftaAggregateNode::Poll(size_t budget) {
-  size_t processed = 0;
-  rts::StreamBatch batch;
-  // Batch-at-a-time: one pop per ring slot, then a tight loop over its
-  // messages (the budget may overshoot by at most one batch).
-  while (processed < budget && input_->TryPop(&batch)) {
-    for (rts::StreamMessage& message : batch.items) {
-      ++processed;
-      BeginMessage(message);
-      if (message.kind == rts::StreamMessage::Kind::kTuple) {
-        ProcessTuple(message.payload, message.weight);
-      } else {
-        ProcessPunctuation(message.payload);
-      }
-      EndMessage();
-    }
-  }
-  writer_.Flush();
-  return processed;
-}
-
-void LftaAggregateNode::ProcessTuple(const ByteBuffer& payload,
-                                     uint32_t weight) {
-  ++tuples_in_;
-  auto row = input_codec_.Decode(ByteSpan(payload.data(), payload.size()));
-  if (!row.ok()) {
-    ++eval_errors_;
-    return;
-  }
-  expr::EvalContext ctx;
-  ctx.row0 = &row.value();
-  ctx.params = params_.get();
-
-  rts::Row keys;
-  keys.reserve(spec_.keys.size());
-  for (const expr::CompiledExpr& key : spec_.keys) {
-    expr::EvalOutput out;
-    if (!vm_.Eval(key, ctx, &out).ok()) {
-      ++eval_errors_;
-      return;
-    }
-    if (!out.has_value) return;
-    keys.push_back(std::move(out.value));
-  }
-
-  if (spec_.ordered_key >= 0) {
-    const Value& ordered = keys[static_cast<size_t>(spec_.ordered_key)];
-    if (epoch_.has_value() && ordered.Compare(*epoch_) > 0) {
-      MaybeDrainEpoch(ordered);
-    }
-    if (!epoch_.has_value() || ordered.Compare(*epoch_) > 0) {
-      epoch_ = ordered;
-    }
-  }
-
-  std::vector<std::optional<Value>> args(spec_.agg_specs.size());
-  for (size_t i = 0; i < spec_.agg_args.size(); ++i) {
-    if (!spec_.agg_args[i].has_value()) continue;
-    expr::EvalOutput out;
-    if (!vm_.Eval(*spec_.agg_args[i], ctx, &out).ok()) {
-      ++eval_errors_;
-      return;
-    }
-    if (!out.has_value) return;
-    args[i] = std::move(out.value);
-  }
-
-  // Under L1 sampling each surviving tuple stands for `weight` offered
-  // ones (stamped on the message at the sampling decision); fold with it
-  // so COUNT/SUM stay unbiased.
+void LftaAggregateNode::Fold(rts::Row keys, const Args& args,
+                             uint32_t weight) {
   auto ejected = table_.Upsert(std::move(keys), args, weight);
-  if (ejected.has_value()) {
-    EmitPartial(ejected->first, ejected->second);
-  }
+  if (ejected.has_value()) EmitGroup(ejected->first, ejected->second);
   EnforceTableCap();
 }
 
-void LftaAggregateNode::ProcessPunctuation(const ByteBuffer& payload) {
-  if (spec_.ordered_key < 0) return;
-  auto punctuation = rts::DecodePunctuation(
-      ByteSpan(payload.data(), payload.size()), spec_.input_schema);
-  if (!punctuation.ok()) return;
-  int source = spec_.key_punctuation_source[
-      static_cast<size_t>(spec_.ordered_key)];
-  if (source < 0) return;
-  auto bound = punctuation->BoundFor(static_cast<size_t>(source));
-  if (!bound.has_value()) return;
-
-  rts::Row synthetic;
-  synthetic.reserve(spec_.input_schema.num_fields());
-  for (size_t f = 0; f < spec_.input_schema.num_fields(); ++f) {
-    synthetic.push_back(Value::Default(spec_.input_schema.field(f).type));
-  }
-  synthetic[static_cast<size_t>(source)] = *bound;
-  expr::EvalContext ctx;
-  ctx.row0 = &synthetic;
-  ctx.params = params_.get();
-  expr::EvalOutput out;
-  if (!vm_.Eval(spec_.keys[static_cast<size_t>(spec_.ordered_key)], ctx,
-                &out).ok() ||
-      !out.has_value) {
-    return;
-  }
-  if (!epoch_.has_value() || out.value.Compare(*epoch_) > 0) {
-    MaybeDrainEpoch(out.value);
-    epoch_ = out.value;
-  }
-}
-
-void LftaAggregateNode::MaybeDrainEpoch(const Value& new_epoch) {
+void LftaAggregateNode::OnAdvance(const Value& new_epoch) {
   // L2 shedding: batch several ordered-key advances into one drain, cutting
   // per-epoch drain + punctuation cost. Coarsening delays window closes but
   // never loses them — every coarsen-th advance still drains everything and
@@ -221,7 +110,17 @@ void LftaAggregateNode::MaybeDrainEpoch(const Value& new_epoch) {
   uint32_t coarsen = shed_ ? shed_->EpochCoarsen() : 1;
   if (coarsen > 1 && ++epoch_advances_ < coarsen) return;
   epoch_advances_ = 0;
-  DrainEpoch(new_epoch);
+  // Draining everything is always safe — drained groups are partial
+  // aggregates the HFTA re-merges — but the ordering promise must honour
+  // the band: late arrivals within it will re-open groups below new_epoch.
+  CloseAll();
+  EmitPunctuation(ReduceByBand(new_epoch, spec().ordered_key_band));
+}
+
+void LftaAggregateNode::OnPunctuation(const Value& bound) {
+  if (epoch().has_value() && bound.Compare(*epoch()) <= 0) return;
+  OnAdvance(bound);
+  set_epoch(bound);
 }
 
 void LftaAggregateNode::EnforceTableCap() {
@@ -233,46 +132,12 @@ void LftaAggregateNode::EnforceTableCap() {
   // scan amortizes over many upserts.
   size_t target = cap - cap / 8;
   for (const auto& [keys, aggs] : table_.EvictColdest(target)) {
-    EmitPartial(keys, aggs);
+    EmitGroup(keys, aggs);
   }
 }
 
-void LftaAggregateNode::EmitPartial(const rts::Row& keys,
-                                    const rts::Row& aggs) {
-  rts::Row out = keys;
-  out.insert(out.end(), aggs.begin(), aggs.end());
-  rts::StreamMessage message;
-  message.kind = rts::StreamMessage::Kind::kTuple;
-  output_codec_.Encode(out, &message.payload);
-  // Ejected/drained partials carry the trace of the packet that triggered
-  // them, keeping the sampled span chain unbroken across the LFTA table.
-  StampOutput(&message);
-  writer_.Write(std::move(message));
-  ++tuples_out_;
-}
-
-void LftaAggregateNode::DrainEpoch(const Value& new_epoch) {
-  // Draining everything is always safe — ejected groups are partial
-  // aggregates the HFTA re-merges — but the ordering promise must honour
-  // the band: late arrivals within it will re-open groups below new_epoch.
-  for (const auto& [keys, aggs] : table_.DrainAll()) {
-    EmitPartial(keys, aggs);
-  }
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(
-      static_cast<size_t>(spec_.ordered_key),
-      ReduceByBand(new_epoch, spec_.ordered_key_band));
-  rts::StreamMessage punct_message =
-      rts::MakePunctuationMessage(punctuation, spec_.output_schema);
-  StampOutput(&punct_message);
-  writer_.Write(std::move(punct_message));
-}
-
-void LftaAggregateNode::Flush() {
-  for (const auto& [keys, aggs] : table_.DrainAll()) {
-    EmitPartial(keys, aggs);
-  }
-  writer_.Flush();  // Flush may run outside a Poll round
+void LftaAggregateNode::CloseAll() {
+  for (const auto& [keys, aggs] : table_.DrainAll()) EmitGroup(keys, aggs);
 }
 
 void LftaAggregateNode::RegisterTelemetry(

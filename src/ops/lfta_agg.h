@@ -10,6 +10,9 @@
 
 namespace gigascope::ops {
 
+/// Largest `log2_slots` a DirectMappedAggTable accepts (16M slots).
+inline constexpr int kMaxLftaHashLog2 = 24;
+
 /// The LFTA's small direct-mapped aggregation hash table (§3).
 ///
 /// No chaining: a hash collision ejects the incumbent group, which is
@@ -19,7 +22,7 @@ namespace gigascope::ops {
 /// table — the property ablated by bench/e3_lfta_hash.
 class DirectMappedAggTable {
  public:
-  /// `log2_slots` gives 2^log2_slots slots.
+  /// `log2_slots`, in [0, kMaxLftaHashLog2], gives 2^log2_slots slots.
   DirectMappedAggTable(int log2_slots,
                        const std::vector<expr::AggregateSpec>* specs);
 
@@ -65,49 +68,38 @@ class DirectMappedAggTable {
   telemetry::Counter shed_evictions_;
 };
 
-/// LFTA-side pre-aggregation node: evaluates group keys and aggregate
-/// arguments, folds into the direct-mapped table, emits ejected partials
-/// immediately, and drains the table when the ordered key advances (epoch
-/// close) — feeding the HFTA superaggregate.
-class LftaAggregateNode : public rts::QueryNode {
+/// LFTA-side pre-aggregation node: the aggregation core over a
+/// DirectMappedAggTable. A collision ejects the incumbent group as a
+/// partial at once; an ordered-key advance (from a tuple, or a punctuation
+/// above the epoch) drains every group in slot order and emits the new
+/// epoch less the band as a punctuation — feeding the HFTA superaggregate.
+class LftaAggregateNode : public AggregateNode {
  public:
-  using Spec = OrderedAggregateNode::Spec;
-
   /// `shed` (optional) is the engine's shared shedding state: the node
-  /// reads the sampling weight, epoch coarsening factor, and table cap from
-  /// it on the fly. Reads are relaxed atomics; the node runs on the same
-  /// thread as the controller that writes them (the inject thread).
+  /// reads the epoch coarsening factor and table cap from it on the fly
+  /// (the sampling weight rides on each message). Reads are relaxed
+  /// atomics; the node runs on the same thread as the controller that
+  /// writes them (the inject thread).
   LftaAggregateNode(Spec spec, int log2_slots, rts::Subscription input,
                     rts::StreamRegistry* registry, rts::ParamBlock params,
                     const rts::ShedState* shed = nullptr);
 
-  size_t Poll(size_t budget) override;
-  void Flush() override;
   void RegisterTelemetry(telemetry::Registry* metrics) const override;
 
   const DirectMappedAggTable& table() const { return table_; }
 
  private:
-  void ProcessTuple(const ByteBuffer& payload, uint32_t weight);
-  void ProcessPunctuation(const ByteBuffer& payload);
-  void EmitPartial(const rts::Row& keys, const rts::Row& aggs);
-  void DrainEpoch(const expr::Value& new_epoch);
+  void Fold(rts::Row keys, const Args& args, uint32_t weight) override;
   /// Counts an ordered-key advance to `new_epoch` and drains once every
   /// `epoch_coarsen` advances (L2 shedding; factor 1 = drain every time).
-  void MaybeDrainEpoch(const expr::Value& new_epoch);
+  void OnAdvance(const expr::Value& new_epoch) override;
+  /// A punctuation above the epoch counts as an advance to it.
+  void OnPunctuation(const expr::Value& bound) override;
+  void CloseAll() override;
   /// Applies the L3 occupancy cap, force-evicting coldest groups.
   void EnforceTableCap();
 
-  Spec spec_;
-  rts::Subscription input_;
-  rts::StreamRegistry* registry_;
-  rts::ParamBlock params_;
-  rts::TupleCodec input_codec_;
-  rts::TupleCodec output_codec_;
-  rts::BatchWriter writer_;
-  expr::Evaluator vm_;
   DirectMappedAggTable table_;
-  std::optional<expr::Value> epoch_;
   const rts::ShedState* shed_;
   uint32_t epoch_advances_ = 0;  // ordered-key advances since last drain
 };

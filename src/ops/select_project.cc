@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "expr/vm.h"
+#include "ops/aggregate.h"
 
 namespace gigascope::ops {
 
@@ -279,23 +280,12 @@ void SelectProjectNode::ProcessPunctuation(const ByteBuffer& payload) {
     if (source < 0) continue;
     auto bound = punctuation->BoundFor(static_cast<size_t>(source));
     if (!bound.has_value()) continue;
-    // Evaluate the projection on a synthetic row whose only meaningful
-    // field is the bounded one; the projection provably depends on it
-    // alone and preserves order, so the result bounds the output field.
-    rts::Row synthetic;
-    synthetic.reserve(spec_.input_schema.num_fields());
-    for (size_t f = 0; f < spec_.input_schema.num_fields(); ++f) {
-      synthetic.push_back(Value::Default(spec_.input_schema.field(f).type));
-    }
-    synthetic[static_cast<size_t>(source)] = *bound;
-    expr::EvalContext ctx;
-    ctx.row0 = &synthetic;
-    ctx.params = params_.get();
-    expr::EvalOutput result;
-    if (vm_.Eval(spec_.projections[i], ctx, &result).ok() &&
-        result.has_value) {
-      out.bounds.emplace_back(i, std::move(result.value));
-    }
+    // The projection provably depends on the bounded field alone and
+    // preserves order, so its value at the bound bounds the output field.
+    std::optional<Value> mapped =
+        TranslateBound(&vm_, spec_.projections[i], spec_.input_schema,
+                       static_cast<size_t>(source), *bound, params_.get());
+    if (mapped.has_value()) out.bounds.emplace_back(i, std::move(*mapped));
   }
   if (out.bounds.empty()) return;
   rts::StreamMessage out_message =

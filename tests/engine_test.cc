@@ -124,6 +124,29 @@ TEST(EngineTest, AggregationQueryEndToEnd) {
   EXPECT_EQ((*row)[1].uint_value(), 2u);
 }
 
+TEST(EngineTest, OutOfRangeLftaTableSizeFailsClosed) {
+  // A split aggregation sizes its LFTA table from lfta_hash_log2; a value
+  // outside [0, 24] is an error, not an abort.
+  for (int log2_slots : {25, -1}) {
+    EngineOptions options;
+    options.lfta_hash_log2 = log2_slots;
+    Engine engine(options);
+    engine.AddInterface("eth0");
+    auto info = engine.AddQuery(
+        "DEFINE { query_name pkts; } "
+        "SELECT tb, count(*) FROM eth0.PKT GROUP BY time/60 AS tb");
+    ASSERT_FALSE(info.ok()) << log2_slots;
+    EXPECT_EQ(info.status().code(), Status::Code::kInvalidArgument)
+        << log2_slots;
+    // Queries that build no LFTA table are unaffected.
+    EXPECT_TRUE(engine
+                    .AddQuery("DEFINE { query_name q; } "
+                              "SELECT time, len FROM eth0.PKT")
+                    .ok())
+        << log2_slots;
+  }
+}
+
 TEST(EngineTest, LftaStreamVisibleUnderMangledName) {
   Engine engine;
   engine.AddInterface("eth0");

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <string>
 
 #include "common/rng.h"
 #include "expr/codegen.h"
 #include "ops/aggregate.h"
 #include "ops/lfta_agg.h"
 #include "rts/punctuation.h"
+#include "rts/shed_state.h"
 
 namespace gigascope::ops {
 namespace {
@@ -70,7 +74,7 @@ OrderedAggregateNode::Spec MakeSpec(const std::string& name) {
   spec.agg_args.emplace_back(
       MustCompile(expr::MakeFieldRef(0, 2, DataType::kUint, "len")));
   spec.ordered_key = 0;
-  spec.key_punctuation_source = {0, -1};
+  spec.ordered_key_source = 0;
   return spec;
 }
 
@@ -220,7 +224,7 @@ TEST_F(AggregateTest, MinMaxAggregates) {
   spec.agg_args.emplace_back(
       MustCompile(expr::MakeFieldRef(0, 2, DataType::kUint, "len")));
   spec.ordered_key = 0;
-  spec.key_punctuation_source = {0};
+  spec.ordered_key_source = 0;
 
   ASSERT_TRUE(registry_.DeclareStream(spec.output_schema).ok());
   auto input = registry_.Subscribe("in", 64);
@@ -248,6 +252,36 @@ TEST_F(AggregateTest, MinMaxAggregates) {
   ASSERT_TRUE(got);
   EXPECT_EQ(row[1].uint_value(), 10u);
   EXPECT_EQ(row[2].uint_value(), 90u);
+}
+
+// --- Accumulator arithmetic ---
+
+// INT sums wrap modulo 2^64 like the VM's INT arithmetic, instead of
+// overflowing int64 (undefined behaviour).
+TEST(GroupAccumulatorTest, IntSumWrapsOnOverflow) {
+  AggregateSpec sum;
+  sum.fn = AggFn::kSum;
+  sum.result_type = DataType::kInt;
+  std::vector<AggregateSpec> specs = {sum};
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  std::vector<std::optional<Value>> args = {Value::Int(max)};
+
+  GroupAccumulator twice(&specs);
+  twice.Update(args);
+  twice.Update(args);
+  ASSERT_EQ(twice.Finalize().size(), 1u);
+  EXPECT_EQ(twice.Finalize()[0].int_value(), -2);
+
+  GroupAccumulator weighted(&specs);
+  weighted.Update(args, 3);
+  EXPECT_EQ(weighted.Finalize()[0].int_value(), max - 2);
+
+  GroupAccumulator once(&specs);
+  once.Update(args);
+  GroupAccumulator merged(&specs);
+  merged.Update(args);
+  merged.Merge(once);
+  EXPECT_EQ(merged.Finalize()[0].int_value(), -2);
 }
 
 // --- Direct-mapped LFTA table ---
@@ -311,6 +345,264 @@ TEST(DirectMappedTableTest, EvictionRateDropsWithTableSize) {
   EXPECT_GT(small, large * 2);
 }
 
+// --- LFTA pre-aggregation node: the exact message sequence it emits ---
+
+class LftaAggregateTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(registry_.DeclareStream(InputSchema()).ok());
+    ASSERT_TRUE(registry_.DeclareStream(AggOutputSchema("lagg")).ok());
+    params_ = std::make_shared<std::vector<Value>>();
+  }
+
+  void Build(int log2_slots, OrderedAggregateNode::Spec spec,
+             const rts::ShedState* shed = nullptr) {
+    log2_slots_ = log2_slots;
+    auto input = registry_.Subscribe("in", 1024);
+    ASSERT_TRUE(input.ok());
+    node_ = std::make_unique<LftaAggregateNode>(
+        std::move(spec), log2_slots, *input, &registry_, params_, shed);
+    auto output = registry_.Subscribe("lagg", 1024);
+    ASSERT_TRUE(output.ok());
+    output_ = *output;
+  }
+
+  void Build(int log2_slots, const rts::ShedState* shed = nullptr) {
+    Build(log2_slots, MakeSpec("lagg"), shed);
+  }
+
+  void Send(uint64_t t, uint64_t key, uint64_t len, uint32_t weight = 1) {
+    rts::TupleCodec codec(InputSchema());
+    rts::StreamMessage message;
+    message.weight = weight;
+    codec.Encode({Value::Uint(t), Value::Uint(key), Value::Uint(len)},
+                 &message.payload);
+    registry_.Publish("in", message);
+  }
+
+  void SendPunctuation(uint64_t t) {
+    rts::Punctuation punctuation;
+    punctuation.bounds.emplace_back(0, Value::Uint(t));
+    registry_.Publish("in",
+                      rts::MakePunctuationMessage(punctuation, InputSchema()));
+  }
+
+  /// Every message emitted so far, in order: "T tb key cnt total" for a
+  /// partial, "P field>=bound ..." for a punctuation.
+  std::vector<std::string> Received() {
+    std::vector<std::string> out;
+    rts::TupleCodec codec(AggOutputSchema("lagg"));
+    rts::StreamMessage message;
+    while (output_->TryPop(&message)) {
+      ByteSpan bytes(message.payload.data(), message.payload.size());
+      if (message.kind == rts::StreamMessage::Kind::kTuple) {
+        auto row = codec.Decode(bytes);
+        EXPECT_TRUE(row.ok());
+        if (!row.ok()) continue;
+        std::string line = "T";
+        for (const Value& v : *row) line += " " + v.ToString();
+        out.push_back(line);
+      } else {
+        auto punctuation =
+            rts::DecodePunctuation(bytes, AggOutputSchema("lagg"));
+        EXPECT_TRUE(punctuation.ok());
+        if (!punctuation.ok()) continue;
+        std::string line = "P";
+        for (const auto& [field, bound] : punctuation->bounds) {
+          line += " " + std::to_string(field) + ">=" + bound.ToString();
+        }
+        out.push_back(line);
+      }
+    }
+    return out;
+  }
+
+  static std::string Partial(uint64_t tb, uint64_t key, uint64_t cnt,
+                             uint64_t total) {
+    return "T " + std::to_string(tb) + " " + std::to_string(key) + " " +
+           std::to_string(cnt) + " " + std::to_string(total);
+  }
+
+  /// The table slot group (tb, key) lands in.
+  size_t SlotOf(uint64_t tb, uint64_t key) const {
+    rts::Row keys = {Value::Uint(tb), Value::Uint(key)};
+    return RowHash{}(keys) & ((size_t{1} << log2_slots_) - 1);
+  }
+
+  /// The first `n` keys >= 100 whose groups in bucket `tb` occupy
+  /// pairwise distinct slots.
+  std::vector<uint64_t> DistinctSlotKeys(uint64_t tb, size_t n) const {
+    std::vector<uint64_t> keys;
+    std::vector<size_t> used;
+    for (uint64_t key = 100; keys.size() < n; ++key) {
+      size_t slot = SlotOf(tb, key);
+      if (std::find(used.begin(), used.end(), slot) != used.end()) continue;
+      used.push_back(slot);
+      keys.push_back(key);
+    }
+    return keys;
+  }
+
+  rts::StreamRegistry registry_;
+  rts::ParamBlock params_;
+  int log2_slots_ = 0;
+  std::unique_ptr<LftaAggregateNode> node_;
+  rts::Subscription output_;
+};
+
+TEST_F(LftaAggregateTest, CollisionEjectsIncumbentPartialAtOnce) {
+  Build(0);  // one slot: every new group collides
+  Send(1, 100, 10);
+  Send(2, 100, 20, /*weight=*/3);
+  node_->Poll(100);
+  EXPECT_TRUE(Received().empty());
+  Send(3, 200, 5);
+  node_->Poll(100);
+  EXPECT_EQ(Received(), std::vector<std::string>{Partial(0, 100, 4, 70)});
+  EXPECT_EQ(node_->table().evictions(), 1u);
+  EXPECT_EQ(node_->table().occupied(), 1u);
+  EXPECT_EQ(node_->tuples_in(), 3u);
+  EXPECT_EQ(node_->tuples_out(), 1u);
+}
+
+TEST_F(LftaAggregateTest, AdvanceDrainsInSlotOrderThenBandedPunctuation) {
+  OrderedAggregateNode::Spec spec = MakeSpec("lagg");
+  spec.ordered_key_band = 1;
+  Build(4, std::move(spec));
+  std::vector<uint64_t> keys = DistinctSlotKeys(0, 3);
+  for (uint64_t key : keys) Send(5, key, key);
+  Send(7, keys[0], 1);
+  node_->Poll(100);
+  EXPECT_TRUE(Received().empty());
+
+  Send(35, keys[1], 2);  // tb 0 -> 3
+  node_->Poll(100);
+  std::vector<uint64_t> by_slot = keys;
+  std::sort(by_slot.begin(), by_slot.end(), [this](uint64_t a, uint64_t b) {
+    return SlotOf(0, a) < SlotOf(0, b);
+  });
+  std::vector<std::string> expected;
+  for (uint64_t key : by_slot) {
+    expected.push_back(key == keys[0] ? Partial(0, key, 2, key + 1)
+                                      : Partial(0, key, 1, key));
+  }
+  expected.push_back("P 0>=2");  // new epoch 3, reduced by the band of 1
+  EXPECT_EQ(Received(), expected);
+  EXPECT_EQ(node_->table().occupied(), 1u);  // the tuple that advanced
+
+  Send(36, keys[1], 2);  // same bucket: no advance
+  node_->Poll(100);
+  EXPECT_TRUE(Received().empty());
+}
+
+TEST_F(LftaAggregateTest, PunctuationDrainsOnlyAboveTheEpoch) {
+  Build(4);
+  Send(15, 100, 10);  // epoch tb=1
+  node_->Poll(100);
+  SendPunctuation(5);   // tb 0: below the epoch
+  SendPunctuation(19);  // tb 1: at the epoch
+  node_->Poll(100);
+  EXPECT_TRUE(Received().empty());
+  EXPECT_EQ(node_->table().occupied(), 1u);
+
+  SendPunctuation(25);  // tb 2: drains
+  node_->Poll(100);
+  EXPECT_EQ(Received(),
+            (std::vector<std::string>{Partial(1, 100, 1, 10), "P 0>=2"}));
+  EXPECT_EQ(node_->table().occupied(), 0u);
+
+  Send(21, 100, 1);  // tb 2 is now the epoch: no drain
+  node_->Poll(100);
+  EXPECT_TRUE(Received().empty());
+}
+
+TEST_F(LftaAggregateTest, EpochCoarseningDrainsEveryKthAdvance) {
+  rts::ShedState shed;
+  shed.epoch_coarsen.store(3);
+  Build(12, &shed);
+  for (uint64_t tb = 0; tb < 3; ++tb) {
+    Send(tb * 10, 100, 1);
+    node_->Poll(100);
+    EXPECT_TRUE(Received().empty()) << "bucket " << tb;
+  }
+  ASSERT_NE(SlotOf(0, 100), SlotOf(1, 100));
+  ASSERT_NE(SlotOf(0, 100), SlotOf(2, 100));
+  ASSERT_NE(SlotOf(1, 100), SlotOf(2, 100));
+  EXPECT_EQ(node_->table().occupied(), 3u);
+
+  Send(30, 100, 1);  // third advance: drains everything
+  node_->Poll(100);
+  std::vector<uint64_t> tbs = {0, 1, 2};
+  std::sort(tbs.begin(), tbs.end(), [this](uint64_t a, uint64_t b) {
+    return SlotOf(a, 100) < SlotOf(b, 100);
+  });
+  std::vector<std::string> expected;
+  for (uint64_t tb : tbs) expected.push_back(Partial(tb, 100, 1, 1));
+  expected.push_back("P 0>=3");
+  EXPECT_EQ(Received(), expected);
+
+  Send(40, 100, 1);
+  Send(50, 100, 1);
+  node_->Poll(100);
+  EXPECT_TRUE(Received().empty());
+  Send(60, 100, 1);
+  node_->Poll(100);
+  std::vector<std::string> second = Received();
+  ASSERT_EQ(second.size(), 4u);
+  EXPECT_EQ(second.back(), "P 0>=6");
+}
+
+TEST_F(LftaAggregateTest, TableCapEvictsColdestPartials) {
+  rts::ShedState shed;
+  shed.table_cap_pct.store(50);
+  Build(3, &shed);  // 8 slots, cap 4
+  std::vector<uint64_t> keys = DistinctSlotKeys(0, 5);
+  for (size_t i = 0; i < 4; ++i) Send(1, keys[i], 10 + i);
+  Send(2, keys[0], 1);  // keys[0] is now the hottest, keys[1] the coldest
+  node_->Poll(100);
+  EXPECT_TRUE(Received().empty());
+  EXPECT_EQ(node_->table().occupied(), 4u);
+
+  Send(3, keys[4], 1);
+  node_->Poll(100);
+  EXPECT_EQ(Received(), std::vector<std::string>{Partial(0, keys[1], 1, 11)});
+  EXPECT_EQ(node_->table().occupied(), 4u);
+  EXPECT_EQ(node_->table().shed_evictions(), 1u);
+}
+
+TEST_F(LftaAggregateTest, FlushDrainsWithoutPunctuation) {
+  Build(4);
+  std::vector<uint64_t> keys = DistinctSlotKeys(0, 2);
+  Send(1, keys[0], 3);
+  Send(2, keys[1], 4);
+  node_->Poll(100);
+  node_->Flush();
+  std::vector<std::string> expected = {Partial(0, keys[0], 1, 3),
+                                       Partial(0, keys[1], 1, 4)};
+  if (SlotOf(0, keys[1]) < SlotOf(0, keys[0])) {
+    std::swap(expected[0], expected[1]);
+  }
+  EXPECT_EQ(Received(), expected);
+  EXPECT_EQ(node_->table().occupied(), 0u);
+}
+
+TEST_F(LftaAggregateTest, FailingKeyExpressionCountsOneEvalError) {
+  OrderedAggregateNode::Spec spec = MakeSpec("lagg");
+  spec.keys[1] = MustCompile(expr::MakeBinaryIr(
+      BinaryOp::kDiv, DataType::kUint,
+      expr::MakeFieldRef(0, 1, DataType::kUint, "key"),
+      expr::MakeFieldRef(0, 2, DataType::kUint, "len")));
+  Build(4, std::move(spec));
+  Send(1, 100, 0);  // key / 0
+  Send(2, 100, 10);
+  node_->Poll(100);
+  EXPECT_EQ(node_->eval_errors(), 1u);
+  EXPECT_EQ(node_->tuples_in(), 2u);
+  EXPECT_EQ(node_->table().occupied(), 1u);
+  node_->Flush();
+  EXPECT_EQ(Received(), std::vector<std::string>{Partial(0, 10, 1, 10)});
+}
+
 // --- Banded ordered keys (§2.1: Netflow start times are
 // banded-increasing(30); groups must survive the band) ---
 
@@ -342,7 +634,7 @@ class BandedAggregateTest : public ::testing::Test {
     spec.agg_args.emplace_back();
     spec.ordered_key = 0;
     spec.ordered_key_band = 10;
-    spec.key_punctuation_source = {0};
+    spec.ordered_key_source = 0;
     ASSERT_TRUE(registry_.DeclareStream(spec.output_schema).ok());
     auto input = registry_.Subscribe("bin", 1024);
     ASSERT_TRUE(input.ok());
