@@ -6,6 +6,7 @@
 // output-tuple volume relative to input (the data-reduction factor).
 
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,8 +18,11 @@ using gigascope::Rng;
 using gigascope::ZipfSampler;
 using gigascope::expr::AggFn;
 using gigascope::expr::AggregateSpec;
-using gigascope::expr::Value;
+using gigascope::ByteBuffer;
+using gigascope::ByteSpan;
 using gigascope::ops::DirectMappedAggTable;
+using gigascope::ops::FoldArg;
+using gigascope::ops::GroupLayout;
 
 struct Cell {
   double eviction_rate;
@@ -32,17 +36,23 @@ Cell Run(int log2_slots, double skew, uint64_t flows, uint64_t updates) {
   count.result_type = gigascope::gsql::DataType::kUint;
   specs.push_back(count);
 
-  DirectMappedAggTable table(log2_slots, &specs);
+  GroupLayout layout({gigascope::gsql::DataType::kUint}, specs);
+  DirectMappedAggTable table(log2_slots, &layout);
   Rng rng(7);
   ZipfSampler sampler(flows, skew);
-  std::vector<std::optional<Value>> args(1);
+  FoldArg args[1];
+  uint8_t key[sizeof(uint64_t)];
+  ByteBuffer ejected;
   uint64_t outputs = 0;
   // Epoch structure: drain once per 1/16th of the run, as a time bucket
   // close would.
   uint64_t epoch_len = updates / 16;
   for (uint64_t i = 0; i < updates; ++i) {
     uint64_t flow = sampler.Sample(rng);
-    if (table.Upsert({Value::Uint(flow)}, args).has_value()) ++outputs;
+    std::memcpy(key, &flow, sizeof(key));
+    if (table.Upsert(ByteSpan(key, sizeof(key)), args, 1, &ejected)) {
+      ++outputs;
+    }
     if (epoch_len > 0 && i % epoch_len == epoch_len - 1) {
       outputs += table.DrainAll().size();
     }

@@ -212,6 +212,14 @@ std::string CompiledExpr::Disassemble() const {
   return out;
 }
 
+std::optional<size_t> PlainFieldLoad(const CompiledExpr& expr) {
+  if (expr.code.size() != 1 || expr.code[0].op != ByteOp::kLoadField ||
+      expr.code[0].a != 0) {
+    return std::nullopt;
+  }
+  return expr.code[0].b;
+}
+
 Result<CompiledExpr> Compile(const IrPtr& ir,
                              const std::vector<Value>& param_values) {
   if (ir == nullptr) return Status::Internal("cannot compile null IR");

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,10 @@ struct CompiledExpr {
 
   std::string Disassemble() const;
 };
+
+/// The field of input 0 that `expr` loads when it is exactly one
+/// kLoadField (a plain column reference); nullopt otherwise.
+std::optional<size_t> PlainFieldLoad(const CompiledExpr& expr);
 
 /// Compiles typed IR to bytecode. `param_values` supplies instantiation-time
 /// parameter values, needed only to build handles for pass-by-handle

@@ -1,6 +1,8 @@
 #include "ops/aggregate.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "common/logging.h"
 #include "expr/vm.h"
@@ -15,138 +17,50 @@ using gsql::DataType;
 
 namespace {
 
-/// sum + v * weight modulo 2^64, as the VM does INT arithmetic: a signed
-/// overflow would be undefined behaviour.
-int64_t WrapAdd(int64_t sum, int64_t v, uint64_t weight = 1) {
-  return static_cast<int64_t>(static_cast<uint64_t>(sum) +
-                              static_cast<uint64_t>(v) * weight);
+uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint32_t Load32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Hash of a packed key for the HFTA group index: a word-at-a-time
+/// multiply-xorshift (the output order comes from the close-time sort, so
+/// any well-mixed hash will do).
+uint64_t MixHash(ByteSpan key) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL ^ key.size();
+  size_t i = 0;
+  for (; i + sizeof(uint64_t) <= key.size(); i += sizeof(uint64_t)) {
+    h = (h ^ Load64(key.data() + i)) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 29;
+  }
+  if (i < key.size()) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, key.data() + i, key.size() - i);
+    h = (h ^ tail) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 29;
+  }
+  h *= 0x94d049bb133111ebULL;
+  return h ^ (h >> 32);
+}
+
+/// The output types of a spec's group keys: its output schema's leading
+/// fields.
+std::vector<DataType> KeyTypes(const AggregateNode::Spec& spec) {
+  GS_CHECK(spec.output_schema.num_fields() >= spec.keys.size());
+  std::vector<DataType> types;
+  for (size_t k = 0; k < spec.keys.size(); ++k) {
+    types.push_back(spec.output_schema.field(k).type);
+  }
+  return types;
 }
 
 }  // namespace
-
-GroupAccumulator::GroupAccumulator(const std::vector<AggregateSpec>* specs)
-    : specs_(specs), cells_(specs->size()) {}
-
-void GroupAccumulator::Update(
-    const std::vector<std::optional<Value>>& args, uint64_t weight) {
-  rows_ += weight;
-  for (size_t i = 0; i < specs_->size(); ++i) {
-    const AggregateSpec& spec = (*specs_)[i];
-    Cell& cell = cells_[i];
-    switch (spec.fn) {
-      case AggFn::kCount:
-        cell.count += weight;
-        break;
-      case AggFn::kSum: {
-        GS_CHECK(args[i].has_value());
-        const Value& v = *args[i];
-        switch (v.type()) {
-          case DataType::kInt:
-            cell.sum_int = WrapAdd(cell.sum_int, v.int_value(), weight);
-            break;
-          case DataType::kUint:
-            cell.sum_uint += v.uint_value() * weight;
-            break;
-          case DataType::kFloat:
-            cell.sum_float += v.float_value() * static_cast<double>(weight);
-            break;
-          default:
-            cell.sum_uint += v.uint_value() * weight;
-            break;
-        }
-        break;
-      }
-      case AggFn::kMin:
-      case AggFn::kMax: {
-        GS_CHECK(args[i].has_value());
-        const Value& v = *args[i];
-        if (!cell.extremum.has_value()) {
-          cell.extremum = v;
-        } else {
-          int cmp = v.Compare(*cell.extremum);
-          if ((spec.fn == AggFn::kMin && cmp < 0) ||
-              (spec.fn == AggFn::kMax && cmp > 0)) {
-            cell.extremum = v;
-          }
-        }
-        break;
-      }
-      case AggFn::kAvg:
-        GS_CHECK(false && "AVG must be decomposed by the planner");
-        break;
-    }
-  }
-}
-
-void GroupAccumulator::Merge(const GroupAccumulator& other) {
-  GS_CHECK(specs_ == other.specs_ || specs_->size() == other.specs_->size());
-  rows_ += other.rows_;
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    const AggregateSpec& spec = (*specs_)[i];
-    Cell& cell = cells_[i];
-    const Cell& in = other.cells_[i];
-    switch (spec.fn) {
-      case AggFn::kCount:
-        cell.count += in.count;
-        break;
-      case AggFn::kSum:
-        cell.sum_int = WrapAdd(cell.sum_int, in.sum_int);
-        cell.sum_uint += in.sum_uint;
-        cell.sum_float += in.sum_float;
-        break;
-      case AggFn::kMin:
-      case AggFn::kMax:
-        if (in.extremum.has_value()) {
-          if (!cell.extremum.has_value()) {
-            cell.extremum = in.extremum;
-          } else {
-            int cmp = in.extremum->Compare(*cell.extremum);
-            if ((spec.fn == AggFn::kMin && cmp < 0) ||
-                (spec.fn == AggFn::kMax && cmp > 0)) {
-              cell.extremum = in.extremum;
-            }
-          }
-        }
-        break;
-      case AggFn::kAvg:
-        break;
-    }
-  }
-}
-
-rts::Row GroupAccumulator::Finalize() const {
-  rts::Row out;
-  out.reserve(specs_->size());
-  for (size_t i = 0; i < specs_->size(); ++i) {
-    const AggregateSpec& spec = (*specs_)[i];
-    const Cell& cell = cells_[i];
-    switch (spec.fn) {
-      case AggFn::kCount:
-        out.push_back(Value::Uint(cell.count));
-        break;
-      case AggFn::kSum:
-        switch (spec.result_type) {
-          case DataType::kInt: out.push_back(Value::Int(cell.sum_int)); break;
-          case DataType::kFloat:
-            out.push_back(Value::Float(cell.sum_float));
-            break;
-          default:
-            out.push_back(Value::Uint(cell.sum_uint));
-            break;
-        }
-        break;
-      case AggFn::kMin:
-      case AggFn::kMax:
-        out.push_back(cell.extremum.value_or(
-            Value::Default(spec.result_type)));
-        break;
-      case AggFn::kAvg:
-        out.push_back(Value::Float(0));
-        break;
-    }
-  }
-  return out;
-}
 
 expr::Value ReduceByBand(const expr::Value& value, uint64_t band) {
   if (band == 0) return value;
@@ -155,30 +69,21 @@ expr::Value ReduceByBand(const expr::Value& value, uint64_t band) {
       return Value::Uint(value.uint_value() >= band
                              ? value.uint_value() - band
                              : 0);
-    case DataType::kInt:
-      return Value::Int(value.int_value() - static_cast<int64_t>(band));
+    case DataType::kInt: {
+      // Saturates at INT64_MIN, as UINT saturates at 0: `room` is the
+      // distance from INT64_MIN to the value, and a band may exceed
+      // INT64_MAX.
+      const uint64_t v = static_cast<uint64_t>(value.int_value());
+      const uint64_t room =
+          v - static_cast<uint64_t>(std::numeric_limits<int64_t>::min());
+      return Value::Int(band >= room ? std::numeric_limits<int64_t>::min()
+                                     : static_cast<int64_t>(v - band));
+    }
     case DataType::kFloat:
       return Value::Float(value.float_value() - static_cast<double>(band));
     default:
       return value;
   }
-}
-
-size_t RowHash::operator()(const rts::Row& row) const {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const Value& value : row) {
-    h ^= value.Hash();
-    h *= 0x100000001b3ULL;
-  }
-  return static_cast<size_t>(h);
-}
-
-bool RowEq::operator()(const rts::Row& a, const rts::Row& b) const {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].type() != b[i].type() || a[i].Compare(b[i]) != 0) return false;
-  }
-  return true;
 }
 
 std::optional<Value> TranslateBound(expr::Evaluator* vm,
@@ -209,8 +114,58 @@ AggregateNode::AggregateNode(Spec spec, rts::Subscription input,
       params_(std::move(params)),
       input_codec_(spec_.input_schema),
       output_codec_(spec_.output_schema),
-      writer_(registry, spec_.name, spec_.output_batch) {
+      writer_(registry, spec_.name, spec_.output_batch),
+      layout_(KeyTypes(spec_), spec_.agg_specs) {
   RegisterInput(input_);
+  const size_t num_keys = spec_.keys.size();
+  GS_CHECK(spec_.output_schema.num_fields() ==
+           num_keys + spec_.agg_specs.size());
+  GS_CHECK(spec_.agg_args.size() == spec_.agg_specs.size());
+  for (size_t a = 0; a < spec_.agg_specs.size(); ++a) {
+    const AggregateSpec& agg = spec_.agg_specs[a];
+    GS_CHECK(spec_.output_schema.field(num_keys + a).type ==
+             (agg.fn == AggFn::kCount ? DataType::kUint : agg.result_type));
+  }
+
+  // A key that is a plain load of a copyable field of its own type is a
+  // byte copy; adjacent copies merge into one run.
+  for (size_t k = 0; k < num_keys; ++k) {
+    std::optional<size_t> field = expr::PlainFieldLoad(spec_.keys[k]);
+    std::optional<rts::TupleCodec::ByteRange> range;
+    if (field.has_value() && *field < spec_.input_schema.num_fields() &&
+        spec_.input_schema.field(*field).type == layout_.key_type(k)) {
+      range = input_codec_.CopyableField(*field);
+    }
+    if (!range.has_value()) {
+      key_steps_.push_back({0, 0, k});
+      needs_row_ = true;
+    } else if (!key_steps_.empty() && key_steps_.back().width > 0 &&
+               key_steps_.back().offset + key_steps_.back().width ==
+                   range->offset) {
+      key_steps_.back().width += range->width;
+    } else {
+      key_steps_.push_back({range->offset, range->width, k});
+    }
+  }
+  for (const std::optional<expr::CompiledExpr>& arg : spec_.agg_args) {
+    std::optional<rts::TupleCodec::ByteRange> range;
+    if (arg.has_value()) {
+      std::optional<size_t> field = expr::PlainFieldLoad(*arg);
+      if (field.has_value() && *field < spec_.input_schema.num_fields()) {
+        range = input_codec_.CopyableField(*field);
+      }
+      if (!range.has_value()) needs_row_ = true;
+    }
+    arg_reads_.push_back(range.value_or(rts::TupleCodec::ByteRange{}));
+  }
+  args_.resize(spec_.agg_specs.size());
+  arg_values_.resize(spec_.agg_specs.size());
+}
+
+void AggregateNode::set_epoch(Value epoch) {
+  epoch_key_.clear();
+  rts::TupleCodec::AppendValue(epoch, &epoch_key_);
+  epoch_ = std::move(epoch);
 }
 
 size_t AggregateNode::Poll(size_t budget) {
@@ -237,53 +192,77 @@ size_t AggregateNode::Poll(size_t budget) {
 void AggregateNode::ProcessTuple(const ByteBuffer& payload,
                                  uint32_t weight) {
   ++tuples_in_;
-  auto row = input_codec_.Decode(ByteSpan(payload.data(), payload.size()));
-  if (!row.ok()) {
+  const ByteSpan in(payload.data(), payload.size());
+  rts::Row row;
+  expr::EvalContext ctx;
+  if (needs_row_) {
+    auto decoded = input_codec_.Decode(in);
+    if (!decoded.ok()) {
+      ++eval_errors_;
+      return;
+    }
+    row = std::move(decoded).value();
+    ctx.row0 = &row;
+    ctx.params = params_.get();
+  } else if (!input_codec_.WellFormed(in)) {
     ++eval_errors_;
     return;
   }
-  expr::EvalContext ctx;
-  ctx.row0 = &row.value();
-  ctx.params = params_.get();
 
-  rts::Row keys;
-  keys.reserve(spec_.keys.size());
-  for (const expr::CompiledExpr& key : spec_.keys) {
+  key_.clear();
+  for (const KeyStep& step : key_steps_) {
+    if (step.width > 0) {
+      key_.insert(key_.end(), in.data() + step.offset,
+                  in.data() + step.offset + step.width);
+      continue;
+    }
     expr::EvalOutput out;
-    if (!vm_.Eval(key, ctx, &out).ok()) {
+    if (!vm_.Eval(spec_.keys[step.key], ctx, &out).ok()) {
       ++eval_errors_;
       return;
     }
     if (!out.has_value) return;  // partial miss discards the tuple
-    keys.push_back(std::move(out.value));
+    GS_CHECK(out.value.type() == layout_.key_type(step.key));
+    rts::TupleCodec::AppendValue(out.value, &key_);
   }
+  const ByteSpan key(key_.data(), key_.size());
 
   if (spec_.ordered_key >= 0) {
-    const Value& ordered = keys[static_cast<size_t>(spec_.ordered_key)];
-    if (epoch_.has_value() && ordered.Compare(*epoch_) > 0) {
-      OnAdvance(ordered);
-    }
-    if (!epoch_.has_value() || ordered.Compare(*epoch_) > 0) {
-      epoch_ = ordered;
+    const size_t ordered_key = static_cast<size_t>(spec_.ordered_key);
+    const ByteSpan ordered = layout_.KeyField(key, ordered_key);
+    if (!epoch_.has_value() ||
+        layout_.CompareField(ordered_key, ordered,
+                             ByteSpan(epoch_key_.data(), epoch_key_.size())) >
+            0) {
+      Value value = output_codec_.DecodeField(key, ordered_key).value();
+      if (epoch_.has_value()) OnAdvance(value);
+      epoch_key_.assign(ordered.begin(), ordered.end());
+      epoch_ = std::move(value);
     }
   }
 
-  Args args(spec_.agg_specs.size());
-  for (size_t i = 0; i < spec_.agg_args.size(); ++i) {
-    if (!spec_.agg_args[i].has_value()) continue;
-    expr::EvalOutput out;
-    if (!vm_.Eval(*spec_.agg_args[i], ctx, &out).ok()) {
-      ++eval_errors_;
-      return;
+  for (size_t a = 0; a < args_.size(); ++a) {
+    const rts::TupleCodec::ByteRange& read = arg_reads_[a];
+    if (read.width == sizeof(uint64_t)) {
+      args_[a].word = Load64(in.data() + read.offset);
+    } else if (read.width == sizeof(uint32_t)) {
+      args_[a].word = Load32(in.data() + read.offset);
+    } else if (spec_.agg_args[a].has_value()) {
+      expr::EvalOutput out;
+      if (!vm_.Eval(*spec_.agg_args[a], ctx, &out).ok()) {
+        ++eval_errors_;
+        return;
+      }
+      if (!out.has_value) return;
+      arg_values_[a] = std::move(out.value);
+      args_[a] = FoldArg::Of(arg_values_[a]);
     }
-    if (!out.has_value) return;
-    args[i] = std::move(out.value);
   }
 
   // Under L1 sampling a source tuple stands for `weight` offered ones
   // (stamped on the message at the sampling decision); folding with it
   // keeps COUNT/SUM unbiased. LFTA partials and operator output carry 1.
-  Fold(std::move(keys), args, weight);
+  Fold(key, args_.data(), weight);
 }
 
 void AggregateNode::ProcessPunctuation(const ByteBuffer& payload) {
@@ -300,12 +279,10 @@ void AggregateNode::ProcessPunctuation(const ByteBuffer& payload) {
   if (key_bound.has_value()) OnPunctuation(*key_bound);
 }
 
-void AggregateNode::EmitGroup(const rts::Row& keys, const rts::Row& aggs) {
-  rts::Row out = keys;
-  out.insert(out.end(), aggs.begin(), aggs.end());
+void AggregateNode::EmitTuple(ByteBuffer tuple) {
   rts::StreamMessage message;
   message.kind = rts::StreamMessage::Kind::kTuple;
-  output_codec_.Encode(out, &message.payload);
+  message.payload = std::move(tuple);
   // Closed groups and ejected partials inherit the trace context of the
   // message that emitted them, so a traced tuple's e2e latency spans
   // inject → group close and the span chain crosses the LFTA table.
@@ -333,17 +310,48 @@ OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
                                            rts::StreamRegistry* registry,
                                            rts::ParamBlock params)
     : AggregateNode(std::move(spec), std::move(input), registry,
-                    std::move(params)) {}
+                    std::move(params)) {
+  index_.assign(64, 0);
+}
 
-void OrderedAggregateNode::Fold(rts::Row keys, const Args& args,
+void OrderedAggregateNode::Fold(ByteSpan key, const FoldArg* args,
                                 uint32_t weight) {
-  auto it = groups_.find(keys);
-  if (it == groups_.end()) {
-    it = groups_.emplace(std::move(keys),
-                         GroupAccumulator(&spec().agg_specs)).first;
-    open_groups_.Set(groups_.size());
+  const uint64_t hash = MixHash(key);
+  size_t mask = index_.size() - 1;
+  size_t i = hash & mask;
+  for (; index_[i] != 0; i = (i + 1) & mask) {
+    const size_t g = index_[i] - 1;
+    const Group& group = groups_[g];
+    if (group.hash == hash && SameKey(KeyOf(group), key)) {
+      layout().Fold(WordsOf(g), TextsOf(g), args, weight);
+      return;
+    }
   }
-  it->second.Update(args, weight);
+  // A new group. Keep the index at most 3/4 full so probes stay short.
+  if ((groups_.size() + 1) * 4 > index_.size() * 3) {
+    Reindex(index_.size() * 2);
+    mask = index_.size() - 1;
+    for (i = hash & mask; index_[i] != 0; i = (i + 1) & mask) {
+    }
+  }
+  const size_t g = groups_.size();
+  groups_.push_back({keys_.size(), key.size(), hash});
+  keys_.insert(keys_.end(), key.begin(), key.end());
+  words_.resize(words_.size() + layout().num_words());
+  texts_.resize(texts_.size() + layout().num_texts());
+  index_[i] = static_cast<uint32_t>(g + 1);
+  layout().Start(WordsOf(g), TextsOf(g), args, weight);
+  open_groups_.Set(groups_.size());
+}
+
+void OrderedAggregateNode::Reindex(size_t slots) {
+  index_.assign(slots, 0);
+  const size_t mask = slots - 1;
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    size_t i = groups_[g].hash & mask;
+    while (index_[i] != 0) i = (i + 1) & mask;
+    index_[i] = static_cast<uint32_t>(g + 1);
+  }
 }
 
 void OrderedAggregateNode::OnAdvance(const Value& ordered) {
@@ -362,32 +370,65 @@ void OrderedAggregateNode::OnPunctuation(const Value& bound) {
 
 void OrderedAggregateNode::FlushGroups(const std::optional<Value>& bound) {
   const int ordered_key = spec().ordered_key;
-  std::vector<const rts::Row*> to_flush;
-  for (const auto& [keys, acc] : groups_) {
+  ByteBuffer bound_key;
+  if (bound.has_value()) rts::TupleCodec::AppendValue(*bound, &bound_key);
+  closing_.clear();
+  for (size_t g = 0; g < groups_.size(); ++g) {
     if (!bound.has_value() || ordered_key < 0 ||
-        keys[static_cast<size_t>(ordered_key)].Compare(*bound) < 0) {
-      to_flush.push_back(&keys);
+        layout().CompareField(
+            static_cast<size_t>(ordered_key),
+            layout().KeyField(KeyOf(groups_[g]),
+                              static_cast<size_t>(ordered_key)),
+            ByteSpan(bound_key.data(), bound_key.size())) < 0) {
+      closing_.push_back(static_cast<uint32_t>(g));
     }
   }
+  if (closing_.empty()) return;
   // Deterministic output order.
-  std::sort(to_flush.begin(), to_flush.end(),
-            [](const rts::Row* a, const rts::Row* b) {
-              for (size_t i = 0; i < a->size() && i < b->size(); ++i) {
-                if ((*a)[i].type() != (*b)[i].type()) continue;
-                int cmp = (*a)[i].Compare((*b)[i]);
-                if (cmp != 0) return cmp < 0;
-              }
-              return a->size() < b->size();
-            });
-  for (const rts::Row* keys : to_flush) {
-    auto it = groups_.find(*keys);
-    EmitGroup(it->first, it->second.Finalize());
+  std::sort(closing_.begin(), closing_.end(), [this](uint32_t a, uint32_t b) {
+    return layout().KeyLess(KeyOf(groups_[a]), KeyOf(groups_[b]));
+  });
+  for (uint32_t g : closing_) {
+    ByteBuffer tuple;
+    layout().Emit(KeyOf(groups_[g]), WordsOf(g), TextsOf(g), &tuple);
+    EmitTuple(std::move(tuple));
     ++groups_flushed_;
-    groups_.erase(it);
   }
+
+  // Compact the survivors (usually none: an advance closes every group
+  // below the new epoch) and rebuild the index over them.
+  if (closing_.size() < groups_.size()) {
+    std::vector<bool> closed(groups_.size(), false);
+    for (uint32_t g : closing_) closed[g] = true;
+    std::vector<Group> groups;
+    ByteBuffer keys;
+    std::vector<uint64_t> words;
+    std::vector<std::string> texts;
+    const size_t num_words = layout().num_words();
+    const size_t num_texts = layout().num_texts();
+    for (size_t g = 0; g < groups_.size(); ++g) {
+      if (closed[g]) continue;
+      const ByteSpan key = KeyOf(groups_[g]);
+      groups.push_back({keys.size(), key.size(), groups_[g].hash});
+      keys.insert(keys.end(), key.begin(), key.end());
+      words.insert(words.end(), WordsOf(g), WordsOf(g) + num_words);
+      for (size_t t = 0; t < num_texts; ++t) {
+        texts.push_back(std::move(TextsOf(g)[t]));
+      }
+    }
+    groups_ = std::move(groups);
+    keys_ = std::move(keys);
+    words_ = std::move(words);
+    texts_ = std::move(texts);
+  } else {
+    groups_.clear();
+    keys_.clear();
+    words_.clear();
+    texts_.clear();
+  }
+  Reindex(index_.size());
   open_groups_.Set(groups_.size());
 }
-
 void OrderedAggregateNode::RegisterTelemetry(
     telemetry::Registry* metrics) const {
   QueryNode::RegisterTelemetry(metrics);

@@ -3,65 +3,21 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "expr/codegen.h"
 #include "expr/vm.h"
+#include "ops/group_layout.h"
 #include "rts/node.h"
 #include "rts/punctuation.h"
 #include "rts/tuple.h"
 
 namespace gigascope::ops {
 
-/// Running state of one group's aggregates (COUNT/SUM/MIN/MAX; AVG is
-/// decomposed by the planner).
-class GroupAccumulator {
- public:
-  explicit GroupAccumulator(const std::vector<expr::AggregateSpec>* specs);
-
-  /// Folds one input tuple in. `args[i]` is the evaluated argument of
-  /// spec i (nullopt for COUNT(*)). `weight` is the number of input tuples
-  /// this one stands for (Horvitz-Thompson): under 1-in-k source sampling
-  /// the LFTA folds survivors with weight k, so COUNT adds k and SUM adds
-  /// k*v — unbiased estimates of the unsampled aggregate. MIN/MAX are
-  /// order statistics and take the value unweighted.
-  void Update(const std::vector<std::optional<expr::Value>>& args,
-              uint64_t weight = 1);
-
-  /// Merges another accumulator of the same spec list (superaggregation).
-  void Merge(const GroupAccumulator& other);
-
-  /// Produces the aggregate values in spec order.
-  rts::Row Finalize() const;
-
-  uint64_t rows() const { return rows_; }
-
- private:
-  const std::vector<expr::AggregateSpec>* specs_;
-  uint64_t rows_ = 0;
-  struct Cell {
-    uint64_t count = 0;
-    int64_t sum_int = 0;
-    uint64_t sum_uint = 0;
-    double sum_float = 0;
-    std::optional<expr::Value> extremum;
-  };
-  std::vector<Cell> cells_;
-};
-
 /// Lowers a numeric bound by `band` (saturating for unsigned types):
 /// on a banded-increasing stream, a value v only guarantees that no future
 /// value falls below v - band.
 expr::Value ReduceByBand(const expr::Value& value, uint64_t band);
-
-/// Hash/equality over key rows, for group maps.
-struct RowHash {
-  size_t operator()(const rts::Row& row) const;
-};
-struct RowEq {
-  bool operator()(const rts::Row& a, const rts::Row& b) const;
-};
 
 /// Maps a punctuation bound on input field `source` through `fn`, an
 /// order-preserving function of that field alone: `fn` is evaluated on a
@@ -76,10 +32,16 @@ std::optional<expr::Value> TranslateBound(
 /// The aggregation core shared by both halves of a split aggregation (§3):
 /// the LFTA's direct-mapped pre-aggregation and the HFTA's ordered
 /// group-by (which also serves unsplit aggregation and the superaggregate
-/// re-merging LFTA partials). It polls input batches, decodes each tuple,
-/// evaluates group keys and aggregate arguments, tracks the ordered key's
+/// re-merging LFTA partials). It polls input batches, packs each tuple's
+/// group key and reads its aggregate arguments, tracks the ordered key's
 /// epoch (its running maximum), translates input punctuations into bounds
-/// on the ordered key, and encodes keys plus finalized aggregates.
+/// on the ordered key, and publishes the tuples the store emits.
+///
+/// Keys and arguments come straight from the input bytes where they can:
+/// a key that is a plain load of a copyable field (rts::TupleCodec::
+/// CopyableField) is a memcpy into the packed key, and such an argument is
+/// read as a word. Only when some key or argument needs the VM is the
+/// input decoded into a Row.
 ///
 /// A subclass supplies only its group store and close policy: how a tuple
 /// folds in (Fold), what an ordered-key advance or a translated
@@ -105,9 +67,6 @@ class AggregateNode : public rts::QueryNode {
     size_t output_batch = 64;
   };
 
-  /// Evaluated aggregate arguments, one per spec (nullopt for COUNT(*)).
-  using Args = std::vector<std::optional<expr::Value>>;
-
   size_t Poll(size_t budget) final;
   void Flush() final;
 
@@ -115,8 +74,9 @@ class AggregateNode : public rts::QueryNode {
   AggregateNode(Spec spec, rts::Subscription input,
                 rts::StreamRegistry* registry, rts::ParamBlock params);
 
-  /// Folds one evaluated tuple into the group store.
-  virtual void Fold(rts::Row keys, const Args& args, uint32_t weight) = 0;
+  /// Folds one tuple into the group store: `key` is its packed group key,
+  /// `args` one argument per aggregate.
+  virtual void Fold(ByteSpan key, const FoldArg* args, uint32_t weight) = 0;
   /// A tuple's ordered key rose above the epoch (called before the epoch
   /// moves to it and before the tuple folds).
   virtual void OnAdvance(const expr::Value& ordered) = 0;
@@ -125,17 +85,27 @@ class AggregateNode : public rts::QueryNode {
   /// End of stream: emits every open group.
   virtual void CloseAll() = 0;
 
-  /// Encodes keys followed by finalized aggregates as one output tuple.
-  void EmitGroup(const rts::Row& keys, const rts::Row& aggs);
+  /// Publishes one output tuple (a group's key bytes and aggregates).
+  void EmitTuple(ByteBuffer tuple);
   /// Emits a punctuation bounding the ordered key.
   void EmitPunctuation(const expr::Value& bound);
 
   const Spec& spec() const { return spec_; }
+  const GroupLayout& layout() const { return layout_; }
   /// Running maximum of the ordered key (nullopt before the first tuple).
   const std::optional<expr::Value>& epoch() const { return epoch_; }
-  void set_epoch(expr::Value epoch) { epoch_ = std::move(epoch); }
+  void set_epoch(expr::Value epoch);
 
  private:
+  /// One step of packing a key: copy `width` input bytes at `offset`
+  /// (adjacent copyable keys merged into one run), or, with width 0,
+  /// evaluate key `key` with the VM and pack its value.
+  struct KeyStep {
+    size_t offset = 0;
+    size_t width = 0;
+    size_t key = 0;
+  };
+
   void ProcessTuple(const ByteBuffer& payload, uint32_t weight);
   void ProcessPunctuation(const ByteBuffer& payload);
 
@@ -146,7 +116,17 @@ class AggregateNode : public rts::QueryNode {
   rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
+  GroupLayout layout_;
+  std::vector<KeyStep> key_steps_;
+  /// Per aggregate, the input bytes a plain-load argument is read from
+  /// (width 0: COUNT(*), or evaluated by the VM).
+  std::vector<rts::TupleCodec::ByteRange> arg_reads_;
+  bool needs_row_ = false;  // some key or argument runs on the VM
+  ByteBuffer key_;                       // the current tuple's packed key
+  std::vector<FoldArg> args_;            // its arguments
+  std::vector<expr::Value> arg_values_;  // VM results args_ may point into
   std::optional<expr::Value> epoch_;
+  ByteBuffer epoch_key_;  // epoch_ packed, compared per tuple
 };
 
 /// Ordered group-by/aggregation (§2.1): the group key contains an ordered
@@ -159,7 +139,13 @@ class AggregateNode : public rts::QueryNode {
 ///
 /// This node serves both as the HFTA-side full aggregation and as the
 /// superaggregate of a split aggregation (the specs then re-aggregate the
-/// LFTA's subaggregate columns).
+/// LFTA's subaggregate columns, merging partials in place).
+///
+/// Open groups live in a flat open-addressing table keyed by packed key
+/// bytes: groups sit densely in arrival order (keys in one byte arena,
+/// cells beside them), and a linear-probing index maps key hashes to them.
+/// A close sorts the closing groups with GroupLayout::KeyLess and compacts
+/// the survivors.
 class OrderedAggregateNode : public AggregateNode {
  public:
   OrderedAggregateNode(Spec spec, rts::Subscription input,
@@ -171,7 +157,13 @@ class OrderedAggregateNode : public AggregateNode {
   uint64_t groups_flushed() const { return groups_flushed_.value(); }
 
  private:
-  void Fold(rts::Row keys, const Args& args, uint32_t weight) override;
+  struct Group {
+    size_t key_offset = 0;  // into keys_
+    size_t key_size = 0;
+    uint64_t hash = 0;
+  };
+
+  void Fold(ByteSpan key, const FoldArg* args, uint32_t weight) override;
   void OnAdvance(const expr::Value& ordered) override;
   void OnPunctuation(const expr::Value& bound) override;
   void CloseAll() override { FlushGroups(std::nullopt); }
@@ -179,11 +171,29 @@ class OrderedAggregateNode : public AggregateNode {
   /// Flushes groups whose ordered key is strictly below `bound` (all groups
   /// when bound is nullopt), in key order.
   void FlushGroups(const std::optional<expr::Value>& bound);
+  /// Rebuilds the index over groups_ with `slots` entries.
+  void Reindex(size_t slots);
 
-  std::unordered_map<rts::Row, GroupAccumulator, RowHash, RowEq> groups_;
+  ByteSpan KeyOf(const Group& group) const {
+    return ByteSpan(keys_.data() + group.key_offset, group.key_size);
+  }
+  uint64_t* WordsOf(size_t g) {
+    return words_.data() + g * layout().num_words();
+  }
+  std::string* TextsOf(size_t g) {
+    return texts_.data() + g * layout().num_texts();
+  }
+
+  std::vector<Group> groups_;
+  ByteBuffer keys_;
+  std::vector<uint64_t> words_;
+  std::vector<std::string> texts_;
+  /// Power-of-two linear-probing index: group number + 1, 0 = empty.
+  std::vector<uint32_t> index_;
+  std::vector<uint32_t> closing_;  // FlushGroups scratch
   telemetry::Counter groups_flushed_;
   /// Mirrors groups_.size() so other threads can read the gauge without
-  /// touching the (unsynchronized) group map.
+  /// touching the (unsynchronized) group table.
   telemetry::Counter open_groups_;
 };
 

@@ -1,6 +1,7 @@
 #include "ops/lfta_agg.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
 #include "telemetry/metric_names.h"
@@ -9,56 +10,80 @@ namespace gigascope::ops {
 
 using expr::Value;
 
-DirectMappedAggTable::DirectMappedAggTable(
-    int log2_slots, const std::vector<expr::AggregateSpec>* specs)
-    : specs_(specs) {
+DirectMappedAggTable::DirectMappedAggTable(int log2_slots,
+                                           const GroupLayout* layout)
+    : layout_(layout), key_stride_(layout->min_key_size()) {
   GS_CHECK(log2_slots >= 0 && log2_slots <= kMaxLftaHashLog2);
-  slots_.resize(size_t{1} << log2_slots);
-  mask_ = slots_.size() - 1;
+  const size_t slots = size_t{1} << log2_slots;
+  slots_.resize(slots);
+  keys_.resize(slots * key_stride_);
+  words_.resize(slots * layout_->num_words());
+  texts_.resize(slots * layout_->num_texts());
+  mask_ = slots - 1;
 }
 
-std::optional<std::pair<rts::Row, rts::Row>> DirectMappedAggTable::Upsert(
-    rts::Row keys, const std::vector<std::optional<Value>>& args,
-    uint64_t weight) {
-  ++updates_;
-  size_t slot_index = RowHash{}(keys) & mask_;
-  Slot& slot = slots_[slot_index];
-  std::optional<std::pair<rts::Row, rts::Row>> ejected;
+void DirectMappedAggTable::WidenKeys(size_t size) {
+  const size_t stride = std::max(size, 2 * key_stride_);
+  ByteBuffer keys(slots_.size() * stride);
+  for (size_t s = 0; s < slots_.size(); ++s) {
+    if (slots_[s].key_size == 0) continue;
+    std::memcpy(keys.data() + s * stride, keys_.data() + s * key_stride_,
+                slots_[s].key_size);
+  }
+  keys_ = std::move(keys);
+  key_stride_ = stride;
+}
 
-  if (slot.used && !RowEq{}(slot.keys, keys)) {
+bool DirectMappedAggTable::Upsert(ByteSpan key, const FoldArg* args,
+                                  uint64_t weight, ByteBuffer* ejected) {
+  ++updates_;
+  const size_t s = SlotOf(key);
+  Slot& slot = slots_[s];
+  bool ejecting = false;
+  if (slot.used && !SameKey(KeyOf(s), key)) {
     // Collision: eject the incumbent as a partial aggregate (§3).
     ++evictions_;
-    ejected.emplace(std::move(slot.keys), slot.acc->Finalize());
+    ejected->clear();
+    layout_->Emit(KeyOf(s), WordsOf(s), TextsOf(s), ejected);
+    ejecting = true;
     slot.used = false;
     --occupied_;
   }
-  if (!slot.used) {
+  slot.last_touch = ++tick_;
+  if (slot.used) {
+    layout_->Fold(WordsOf(s), TextsOf(s), args, weight);
+  } else {
+    if (key.size() > key_stride_) WidenKeys(key.size());
     slot.used = true;
-    slot.keys = std::move(keys);
-    slot.acc.emplace(specs_);
+    slot.key_size = static_cast<uint32_t>(key.size());
+    if (!key.empty()) {
+      std::memcpy(keys_.data() + s * key_stride_, key.data(), key.size());
+    }
+    layout_->Start(WordsOf(s), TextsOf(s), args, weight);
     ++occupied_;
   }
-  slot.last_touch = ++tick_;
-  slot.acc->Update(args, weight);
-  return ejected;
+  return ejecting;
 }
 
-std::vector<std::pair<rts::Row, rts::Row>> DirectMappedAggTable::DrainAll() {
-  std::vector<std::pair<rts::Row, rts::Row>> out;
+ByteBuffer DirectMappedAggTable::Take(size_t slot) {
+  ByteBuffer tuple;
+  layout_->Emit(KeyOf(slot), WordsOf(slot), TextsOf(slot), &tuple);
+  slots_[slot].used = false;
+  return tuple;
+}
+
+std::vector<ByteBuffer> DirectMappedAggTable::DrainAll() {
+  std::vector<ByteBuffer> out;
   out.reserve(occupied());
-  for (Slot& slot : slots_) {
-    if (!slot.used) continue;
-    out.emplace_back(std::move(slot.keys), slot.acc->Finalize());
-    slot.used = false;
-    slot.acc.reset();
+  for (size_t s = 0; s < slots_.size(); ++s) {
+    if (slots_[s].used) out.push_back(Take(s));
   }
   occupied_.Set(0);
   return out;
 }
 
-std::vector<std::pair<rts::Row, rts::Row>> DirectMappedAggTable::EvictColdest(
-    size_t target) {
-  std::vector<std::pair<rts::Row, rts::Row>> out;
+std::vector<ByteBuffer> DirectMappedAggTable::EvictColdest(size_t target) {
+  std::vector<ByteBuffer> out;
   if (occupied() <= target) return out;
   size_t to_evict = occupied() - target;
   // Collect used slots ordered by last_touch and evict the oldest. The scan
@@ -74,10 +99,7 @@ std::vector<std::pair<rts::Row, rts::Row>> DirectMappedAggTable::EvictColdest(
                     });
   out.reserve(to_evict);
   for (size_t i = 0; i < to_evict; ++i) {
-    Slot& slot = slots_[used[i]];
-    out.emplace_back(std::move(slot.keys), slot.acc->Finalize());
-    slot.used = false;
-    slot.acc.reset();
+    out.push_back(Take(used[i]));
     ++evictions_;
     ++shed_evictions_;
     --occupied_;
@@ -92,13 +114,14 @@ LftaAggregateNode::LftaAggregateNode(Spec spec, int log2_slots,
                                      const rts::ShedState* shed)
     : AggregateNode(std::move(spec), std::move(input), registry,
                     std::move(params)),
-      table_(log2_slots, &this->spec().agg_specs),
+      table_(log2_slots, &layout()),
       shed_(shed) {}
 
-void LftaAggregateNode::Fold(rts::Row keys, const Args& args,
+void LftaAggregateNode::Fold(ByteSpan key, const FoldArg* args,
                              uint32_t weight) {
-  auto ejected = table_.Upsert(std::move(keys), args, weight);
-  if (ejected.has_value()) EmitGroup(ejected->first, ejected->second);
+  if (table_.Upsert(key, args, weight, &ejected_)) {
+    EmitTuple(std::move(ejected_));
+  }
   EnforceTableCap();
 }
 
@@ -131,13 +154,13 @@ void LftaAggregateNode::EnforceTableCap() {
   // Evict a chunk below the cap (not just one) so the O(slots) coldness
   // scan amortizes over many upserts.
   size_t target = cap - cap / 8;
-  for (const auto& [keys, aggs] : table_.EvictColdest(target)) {
-    EmitGroup(keys, aggs);
+  for (ByteBuffer& tuple : table_.EvictColdest(target)) {
+    EmitTuple(std::move(tuple));
   }
 }
 
 void LftaAggregateNode::CloseAll() {
-  for (const auto& [keys, aggs] : table_.DrainAll()) EmitGroup(keys, aggs);
+  for (ByteBuffer& tuple : table_.DrainAll()) EmitTuple(std::move(tuple));
 }
 
 void LftaAggregateNode::RegisterTelemetry(

@@ -1,8 +1,7 @@
 #ifndef GIGASCOPE_OPS_LFTA_AGG_H_
 #define GIGASCOPE_OPS_LFTA_AGG_H_
 
-#include <optional>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "ops/aggregate.h"
@@ -20,27 +19,36 @@ inline constexpr int kMaxLftaHashLog2 = 24;
 /// superaggregate re-merges partials. Because of temporal locality,
 /// aggregation is effective at early data reduction even with a small
 /// table — the property ablated by bench/e3_lfta_hash.
+///
+/// A slot holds a group's packed key bytes and its accumulator cells
+/// (GroupLayout), in flat arrays: every slot has the same key room, the
+/// size of the widest key seen (fixed when no key field is a STRING). A
+/// key lands in slot GroupLayout::KeyHash & mask. Ejected and drained
+/// groups come out as output tuples: the key bytes followed by the
+/// aggregates.
 class DirectMappedAggTable {
  public:
   /// `log2_slots`, in [0, kMaxLftaHashLog2], gives 2^log2_slots slots.
-  DirectMappedAggTable(int log2_slots,
-                       const std::vector<expr::AggregateSpec>* specs);
+  DirectMappedAggTable(int log2_slots, const GroupLayout* layout);
 
-  /// Folds a tuple into the group with `keys`, weighted by `weight`
-  /// (Horvitz-Thompson scaling under source sampling). When a different
-  /// group occupies the slot, returns the ejected (keys,
-  /// accumulator-finalized values) pair.
-  std::optional<std::pair<rts::Row, rts::Row>> Upsert(
-      rts::Row keys, const std::vector<std::optional<expr::Value>>& args,
-      uint64_t weight = 1);
+  /// Folds a tuple into the group with packed key `key`, weighted by
+  /// `weight` (Horvitz-Thompson scaling under source sampling). When a
+  /// different group occupies the slot, replaces `*ejected` with that
+  /// group's output tuple and returns true.
+  bool Upsert(ByteSpan key, const FoldArg* args, uint64_t weight,
+              ByteBuffer* ejected);
 
-  /// Removes and returns all occupied groups (epoch close), in slot order.
-  std::vector<std::pair<rts::Row, rts::Row>> DrainAll();
+  /// Removes every occupied group (epoch close) and returns their output
+  /// tuples in slot order.
+  std::vector<ByteBuffer> DrainAll();
 
   /// Force-evicts the least-recently-touched groups until at most `target`
   /// remain (L3 shedding). Evictees are partials — always safe, the HFTA
   /// re-merges them — returned coldest first.
-  std::vector<std::pair<rts::Row, rts::Row>> EvictColdest(size_t target);
+  std::vector<ByteBuffer> EvictColdest(size_t target);
+
+  /// The slot the group with packed key `key` lands in.
+  size_t SlotOf(ByteSpan key) const { return layout_->KeyHash(key) & mask_; }
 
   size_t num_slots() const { return slots_.size(); }
   size_t occupied() const { return static_cast<size_t>(occupied_.value()); }
@@ -50,14 +58,32 @@ class DirectMappedAggTable {
 
  private:
   struct Slot {
-    bool used = false;
     uint64_t last_touch = 0;  // tick of the last Upsert into this slot
-    rts::Row keys;
-    std::optional<GroupAccumulator> acc;
+    uint32_t key_size = 0;
+    bool used = false;
   };
 
-  const std::vector<expr::AggregateSpec>* specs_;
+  ByteSpan KeyOf(size_t slot) const {
+    return ByteSpan(keys_.data() + slot * key_stride_, slots_[slot].key_size);
+  }
+  uint64_t* WordsOf(size_t slot) {
+    return words_.data() + slot * layout_->num_words();
+  }
+  std::string* TextsOf(size_t slot) {
+    return texts_.data() + slot * layout_->num_texts();
+  }
+  /// Widens every slot's key room to at least `size` bytes (a STRING key
+  /// longer than any before it).
+  void WidenKeys(size_t size);
+  /// Empties slot `slot` into a fresh output tuple.
+  ByteBuffer Take(size_t slot);
+
+  const GroupLayout* layout_;
   std::vector<Slot> slots_;
+  ByteBuffer keys_;                 // key_stride_ bytes of key room per slot
+  size_t key_stride_;
+  std::vector<uint64_t> words_;     // num_words() cells per slot
+  std::vector<std::string> texts_;  // num_texts() text cells per slot
   size_t mask_;
   uint64_t tick_ = 0;  // advances once per Upsert; orders slot coldness
   // Telemetry counters: written by the owning LFTA thread only, readable
@@ -89,7 +115,7 @@ class LftaAggregateNode : public AggregateNode {
   const DirectMappedAggTable& table() const { return table_; }
 
  private:
-  void Fold(rts::Row keys, const Args& args, uint32_t weight) override;
+  void Fold(ByteSpan key, const FoldArg* args, uint32_t weight) override;
   /// Counts an ordered-key advance to `new_epoch` and drains once every
   /// `epoch_coarsen` advances (L2 shedding; factor 1 = drain every time).
   void OnAdvance(const expr::Value& new_epoch) override;
@@ -100,6 +126,7 @@ class LftaAggregateNode : public AggregateNode {
   void EnforceTableCap();
 
   DirectMappedAggTable table_;
+  ByteBuffer ejected_;  // Upsert's output buffer
   const rts::ShedState* shed_;
   uint32_t epoch_advances_ = 0;  // ordered-key advances since last drain
 };

@@ -66,26 +66,22 @@ void SelectProjectNode::BuildByteProjection() {
   std::vector<CopyRange> ranges;
   size_t bytes = 0;
   for (size_t i = 0; i < spec_.projections.size(); ++i) {
-    const std::vector<expr::Instr>& code = spec_.projections[i].code;
-    if (code.size() != 1 || code[0].op != expr::ByteOp::kLoadField ||
-        code[0].a != 0 || code[0].b >= spec_.input_schema.num_fields()) {
+    std::optional<size_t> field = expr::PlainFieldLoad(spec_.projections[i]);
+    if (!field.has_value() || *field >= spec_.input_schema.num_fields() ||
+        spec_.output_schema.field(i).type !=
+            spec_.input_schema.field(*field).type) {
       return;
     }
-    const size_t field = code[0].b;
-    const DataType type = spec_.input_schema.field(field).type;
-    // Decoding normalizes a BOOL byte to 0/1, so copying it could differ.
-    if (type == DataType::kBool) return;
-    if (spec_.output_schema.field(i).type != type) return;
-    std::optional<size_t> offset = input_codec_.FixedFieldOffset(field);
-    std::optional<size_t> width = rts::TupleCodec::FixedTypeWidth(type);
-    if (!offset.has_value() || !width.has_value()) return;
+    std::optional<rts::TupleCodec::ByteRange> range =
+        input_codec_.CopyableField(*field);
+    if (!range.has_value()) return;
     if (!ranges.empty() &&
-        ranges.back().offset + ranges.back().width == *offset) {
-      ranges.back().width += *width;
+        ranges.back().offset + ranges.back().width == range->offset) {
+      ranges.back().width += range->width;
     } else {
-      ranges.push_back({*offset, *width});
+      ranges.push_back(*range);
     }
-    bytes += *width;
+    bytes += range->width;
   }
   byte_projection_ = true;
   copy_ranges_ = std::move(ranges);

@@ -72,10 +72,7 @@ class SelectProjectNode : public rts::QueryNode {
   };
 
   /// One run of input bytes a byte-copy projection emits verbatim.
-  struct CopyRange {
-    size_t offset = 0;
-    size_t width = 0;
-  };
+  using CopyRange = rts::TupleCodec::ByteRange;
 
   void BuildRawFilter();
   void BuildByteProjection();

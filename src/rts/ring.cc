@@ -1,6 +1,7 @@
 #include "rts/ring.h"
 
 #include <cstring>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -66,7 +67,7 @@ RingChannel::RingChannel(size_t capacity, const ShmRingOptions& shm)
   if (!shm.enabled) {
     heap_ctrl_ = std::make_unique<RingControl>();
     ctrl_ = heap_ctrl_.get();
-    slots_.resize(slot_count);
+    slots_ = std::allocator<StreamBatch>().allocate(slot_count);
     return;
   }
   shm_slot_bytes_ =
@@ -76,6 +77,12 @@ RingChannel::RingChannel(size_t capacity, const ShmRingOptions& shm)
   ctrl_ = new (shm_->data()) RingControl();
   shm_slots_ = shm_->As<ShmSlot>(sizeof(RingControl));
   for (size_t s = 0; s < slot_count; ++s) new (&shm_slots_[s]) ShmSlot();
+}
+
+RingChannel::~RingChannel() {
+  if (slots_ == nullptr) return;
+  std::destroy_n(slots_, slots_built_);
+  std::allocator<StreamBatch>().deallocate(slots_, mask_ + 1);
 }
 
 bool RingChannel::TryPush(StreamBatch&& batch) {
@@ -144,7 +151,13 @@ size_t RingChannel::StoreSlot(uint64_t position, StreamBatch* batch,
   const size_t s = position & mask_;
   if (shm_ == nullptr) {
     const size_t messages = batch->items.size();
-    slots_[s] = std::move(*batch);
+    if (s < slots_built_) {
+      slots_[s] = std::move(*batch);
+    } else {
+      GS_CHECK(s == slots_built_);  // first lap: positions are monotone
+      new (&slots_[s]) StreamBatch(std::move(*batch));
+      ++slots_built_;
+    }
     return messages;
   }
   push_scratch_.clear();

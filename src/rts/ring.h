@@ -92,9 +92,12 @@ struct RingControl {
 /// counters in one RingControl; only storing a batch into a slot and
 /// loading it back differ by backend:
 ///
-///  - Heap (default): slots are a std::vector<StreamBatch>; batches move
-///    through without serialization. Producer and consumer must share an
-///    address space (threads of one process).
+///  - Heap (default): slots are StreamBatch objects; batches move through
+///    without serialization. Producer and consumer must share an address
+///    space (threads of one process). The slot array is allocated raw and
+///    each slot is built the first time the producer reaches it, so a
+///    ring that never fills its capacity never touches (or faults in) the
+///    rest.
 ///  - Shared memory (ShmRingOptions::enabled): the control block and the
 ///    slots live in a fork-inherited ShmSegment; batches serialize into a
 ///    fixed per-slot payload region of the segment's arena (offset-based,
@@ -118,6 +121,7 @@ class RingChannel {
   explicit RingChannel(size_t capacity)
       : RingChannel(capacity, ShmRingOptions{}) {}
   RingChannel(size_t capacity, const ShmRingOptions& shm);
+  ~RingChannel();
   RingChannel(const RingChannel&) = delete;
   RingChannel& operator=(const RingChannel&) = delete;
 
@@ -263,7 +267,10 @@ class RingChannel {
   std::unique_ptr<RingControl> heap_ctrl_;
   RingControl* ctrl_ = nullptr;
 
-  std::vector<StreamBatch> slots_;  // heap slot store
+  // Heap slot store: raw storage for mask_ + 1 slots, of which the first
+  // slots_built_ are constructed. The producer builds slot s on its first
+  // lap (positions are monotone, so then s == slots_built_).
+  StreamBatch* slots_ = nullptr;
 
   // Shm slot store: the segment holds [RingControl][ShmSlot...][arena].
   std::unique_ptr<ShmSegment> shm_;
@@ -275,7 +282,9 @@ class RingChannel {
 
   // Producer-local cache of the tail (avoids loading the consumer's cache
   // line until the ring looks full); consumer-local cache of the head.
+  // slots_built_ is producer-written too, so it shares the producer's line.
   alignas(64) uint64_t cached_tail_ = 0;
+  size_t slots_built_ = 0;
   alignas(64) uint64_t cached_head_ = 0;
 
   // Producer-side only: a punctuation whose batch could not be pushed,

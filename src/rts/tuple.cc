@@ -58,6 +58,52 @@ bool DecodeValue(ByteReader& reader, DataType type, Value* out) {
   return false;
 }
 
+size_t ValueSize(const Value& value) {
+  switch (value.type()) {
+    case DataType::kBool: return 1;
+    case DataType::kIp: return 4;
+    case DataType::kString: return 4 + value.string_value().size();
+    default: return 8;
+  }
+}
+
+/// Packs `value` at `p`; returns the end of the field.
+uint8_t* StoreValue(const Value& value, uint8_t* p) {
+  switch (value.type()) {
+    case DataType::kBool:
+      *p = value.bool_value() ? 1 : 0;
+      return p + 1;
+    case DataType::kInt: {
+      const int64_t v = value.int_value();
+      std::memcpy(p, &v, sizeof(v));
+      return p + sizeof(v);
+    }
+    case DataType::kUint: {
+      const uint64_t v = value.uint_value();
+      std::memcpy(p, &v, sizeof(v));
+      return p + sizeof(v);
+    }
+    case DataType::kFloat: {
+      const double d = value.float_value();
+      std::memcpy(p, &d, sizeof(d));
+      return p + sizeof(d);
+    }
+    case DataType::kIp: {
+      const uint32_t v = value.ip_value();
+      std::memcpy(p, &v, sizeof(v));
+      return p + sizeof(v);
+    }
+    case DataType::kString: {
+      const std::string& s = value.string_value();
+      const uint32_t len = static_cast<uint32_t>(s.size());
+      std::memcpy(p, &len, sizeof(len));
+      if (len > 0) std::memcpy(p + sizeof(len), s.data(), len);
+      return p + sizeof(len) + len;
+    }
+  }
+  return p;
+}
+
 Status Truncated(DataType type) {
   return Status::ParseError(std::string("truncated tuple (") +
                             gsql::DataTypeName(type) + " field)");
@@ -85,45 +131,13 @@ void TupleCodec::Encode(const Row& row, ByteBuffer* out) const {
   const size_t start = out->size();
   out->resize(start + EncodedSize(row));
   uint8_t* p = out->data() + start;
-  for (const Value& value : row) {
-    switch (value.type()) {
-      case DataType::kBool:
-        *p++ = value.bool_value() ? 1 : 0;
-        break;
-      case DataType::kInt: {
-        const int64_t v = value.int_value();
-        std::memcpy(p, &v, sizeof(v));
-        p += sizeof(v);
-        break;
-      }
-      case DataType::kUint: {
-        const uint64_t v = value.uint_value();
-        std::memcpy(p, &v, sizeof(v));
-        p += sizeof(v);
-        break;
-      }
-      case DataType::kFloat: {
-        const double d = value.float_value();
-        std::memcpy(p, &d, sizeof(d));
-        p += sizeof(d);
-        break;
-      }
-      case DataType::kIp: {
-        const uint32_t v = value.ip_value();
-        std::memcpy(p, &v, sizeof(v));
-        p += sizeof(v);
-        break;
-      }
-      case DataType::kString: {
-        const std::string& s = value.string_value();
-        const uint32_t len = static_cast<uint32_t>(s.size());
-        std::memcpy(p, &len, sizeof(len));
-        if (len > 0) std::memcpy(p + sizeof(len), s.data(), len);
-        p += sizeof(len) + len;
-        break;
-      }
-    }
-  }
+  for (const Value& value : row) p = StoreValue(value, p);
+}
+
+void TupleCodec::AppendValue(const Value& value, ByteBuffer* out) {
+  const size_t start = out->size();
+  out->resize(start + ValueSize(value));
+  StoreValue(value, out->data() + start);
 }
 
 Result<Row> TupleCodec::Decode(ByteSpan bytes) const {
@@ -202,20 +216,20 @@ std::optional<size_t> TupleCodec::FixedFieldOffset(size_t field) const {
   return fixed_offsets_[field];
 }
 
+std::optional<TupleCodec::ByteRange> TupleCodec::CopyableField(
+    size_t field) const {
+  std::optional<size_t> offset = FixedFieldOffset(field);
+  if (!offset.has_value()) return std::nullopt;
+  const DataType type = schema_.field(field).type;
+  if (type == DataType::kBool) return std::nullopt;
+  std::optional<size_t> width = FixedTypeWidth(type);
+  if (!width.has_value()) return std::nullopt;
+  return ByteRange{*offset, *width};
+}
+
 size_t TupleCodec::EncodedSize(const Row& row) const {
   size_t size = 0;
-  for (size_t f = 0; f < row.size(); ++f) {
-    switch (schema_.field(f).type) {
-      case DataType::kBool: size += 1; break;
-      case DataType::kInt:
-      case DataType::kUint:
-      case DataType::kFloat: size += 8; break;
-      case DataType::kIp: size += 4; break;
-      case DataType::kString:
-        size += 4 + row[f].string_value().size();
-        break;
-    }
-  }
+  for (const Value& value : row) size += ValueSize(value);
   return size;
 }
 

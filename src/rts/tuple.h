@@ -56,6 +56,19 @@ class TupleCodec {
   /// Encoded width in bytes of a fixed-width type; nullopt for strings.
   static std::optional<size_t> FixedTypeWidth(gsql::DataType type);
 
+  /// A field whose packed bytes can be copied as its value.
+  struct ByteRange {
+    size_t offset = 0;
+    size_t width = 0;
+  };
+  /// Where field `field` sits when copying its bytes reproduces what
+  /// Decode-then-Encode would: a fixed offset, a fixed width, and not a
+  /// BOOL (decoding normalizes a BOOL byte to 0/1). nullopt otherwise.
+  std::optional<ByteRange> CopyableField(size_t field) const;
+
+  /// Appends `value` packed as one field of its own type.
+  static void AppendValue(const expr::Value& value, ByteBuffer* out);
+
  private:
   /// Offset of field `field` in `bytes` (field == num_fields: the end of
   /// the tuple), walking string lengths; nullopt when a field before it

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -257,86 +258,166 @@ TEST_F(AggregateTest, MinMaxAggregates) {
 // --- Accumulator arithmetic ---
 
 // INT sums wrap modulo 2^64 like the VM's INT arithmetic, instead of
-// overflowing int64 (undefined behaviour).
-TEST(GroupAccumulatorTest, IntSumWrapsOnOverflow) {
+// overflowing int64 (undefined behaviour). The superaggregate merges a
+// partial by folding its value in.
+TEST(GroupLayoutTest, IntSumWrapsOnOverflow) {
   AggregateSpec sum;
   sum.fn = AggFn::kSum;
   sum.result_type = DataType::kInt;
-  std::vector<AggregateSpec> specs = {sum};
+  GroupLayout layout({}, {sum});
   const int64_t max = std::numeric_limits<int64_t>::max();
-  std::vector<std::optional<Value>> args = {Value::Int(max)};
+  const FoldArg arg = FoldArg::Of(Value::Int(max));
 
-  GroupAccumulator twice(&specs);
-  twice.Update(args);
-  twice.Update(args);
-  ASSERT_EQ(twice.Finalize().size(), 1u);
-  EXPECT_EQ(twice.Finalize()[0].int_value(), -2);
+  uint64_t twice = 0;
+  layout.Start(&twice, nullptr, &arg, 1);
+  layout.Fold(&twice, nullptr, &arg, 1);
+  EXPECT_EQ(static_cast<int64_t>(twice), -2);
 
-  GroupAccumulator weighted(&specs);
-  weighted.Update(args, 3);
-  EXPECT_EQ(weighted.Finalize()[0].int_value(), max - 2);
+  uint64_t weighted = 0;
+  layout.Start(&weighted, nullptr, &arg, 3);
+  EXPECT_EQ(static_cast<int64_t>(weighted), max - 2);
 
-  GroupAccumulator once(&specs);
-  once.Update(args);
-  GroupAccumulator merged(&specs);
-  merged.Update(args);
-  merged.Merge(once);
-  EXPECT_EQ(merged.Finalize()[0].int_value(), -2);
+  uint64_t once = 0;
+  layout.Start(&once, nullptr, &arg, 1);
+  uint64_t merged = 0;
+  layout.Start(&merged, nullptr, &arg, 1);
+  const FoldArg partial = FoldArg::Of(Value::Int(static_cast<int64_t>(once)));
+  layout.Fold(&merged, nullptr, &partial, 1);
+  EXPECT_EQ(static_cast<int64_t>(merged), -2);
+}
+
+// A band lowers an INT bound saturating at INT64_MIN, as UINT saturates at
+// 0: `value - band` would overflow near INT64_MIN, and a band above
+// INT64_MAX does not fit an int64.
+TEST(ReduceByBandTest, IntSaturatesAtMinimum) {
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(ReduceByBand(Value::Int(10), 3).int_value(), 7);
+  EXPECT_EQ(ReduceByBand(Value::Int(-5), 10).int_value(), -15);
+  EXPECT_EQ(ReduceByBand(Value::Int(min + 5), 10).int_value(), min);
+  EXPECT_EQ(ReduceByBand(Value::Int(min + 10), 10).int_value(), min);
+  EXPECT_EQ(ReduceByBand(Value::Int(0), uint64_t{1} << 63).int_value(), min);
+  EXPECT_EQ(ReduceByBand(Value::Int(-1), UINT64_MAX).int_value(), min);
+  EXPECT_EQ(ReduceByBand(Value::Int(max), (uint64_t{1} << 63) + 1).int_value(),
+            -2);
+  EXPECT_EQ(ReduceByBand(Value::Int(max), UINT64_MAX).int_value(), min);
+  EXPECT_EQ(ReduceByBand(Value::Uint(3), 10).uint_value(), 0u);
+}
+
+/// The LFTA slot hash of a key row: FNV-1a over each value's Value::Hash.
+uint64_t ValueRowHash(const rts::Row& keys) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Value& value : keys) {
+    h ^= value.Hash();
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The packed-key hash is the number the decoded key row hashes to, for
+// every key type, so LFTA slots (and with them collisions, evictions and
+// the emitted partials) do not depend on how the key was built.
+TEST(GroupLayoutTest, KeyHashMatchesValueHashes) {
+  const std::vector<DataType> types = {DataType::kBool, DataType::kInt,
+                                       DataType::kUint, DataType::kFloat,
+                                       DataType::kIp,   DataType::kString};
+  std::vector<FieldDef> fields;
+  for (size_t i = 0; i < types.size(); ++i) {
+    fields.push_back({"k" + std::to_string(i), types[i], OrderSpec::None()});
+  }
+  rts::TupleCodec codec(StreamSchema("k", StreamKind::kStream, fields));
+  GroupLayout layout(types, {});
+  Rng rng(11);
+  for (int n = 0; n < 500; ++n) {
+    std::string text(rng.NextBelow(12), 'a');
+    for (char& c : text) c = static_cast<char>('a' + rng.NextBelow(26));
+    rts::Row keys = {
+        Value::Bool(rng.NextBelow(2) == 1),
+        Value::Int(static_cast<int64_t>(rng.Next())),
+        Value::Uint(rng.Next()),
+        Value::Float(static_cast<double>(rng.Next() % 1000) - 500.5),
+        Value::Ip(static_cast<uint32_t>(rng.Next())),
+        Value::String(text)};
+    ByteBuffer packed;
+    codec.Encode(keys, &packed);
+    EXPECT_EQ(layout.KeyHash(ByteSpan(packed.data(), packed.size())),
+              ValueRowHash(keys));
+  }
 }
 
 // --- Direct-mapped LFTA table ---
 
-TEST(DirectMappedTableTest, UpsertAndDrain) {
-  std::vector<AggregateSpec> specs;
+AggregateSpec CountSpec() {
   AggregateSpec count;
   count.fn = AggFn::kCount;
   count.result_type = DataType::kUint;
-  specs.push_back(count);
-  DirectMappedAggTable table(4, &specs);  // 16 slots
+  return count;
+}
 
-  std::vector<std::optional<Value>> args(1);
+ByteBuffer UintKey(uint64_t v) {
+  ByteBuffer key(sizeof(v));
+  std::memcpy(key.data(), &v, sizeof(v));
+  return key;
+}
+
+ByteSpan Span(const ByteBuffer& bytes) {
+  return ByteSpan(bytes.data(), bytes.size());
+}
+
+/// Decodes a (UINT key, COUNT) group tuple the table emitted.
+rts::Row DecodeCountGroup(const ByteBuffer& tuple) {
+  std::vector<FieldDef> fields = {{"key", DataType::kUint, OrderSpec::None()},
+                                  {"cnt", DataType::kUint, OrderSpec::None()}};
+  rts::TupleCodec codec(StreamSchema("g", StreamKind::kStream, fields));
+  auto row = codec.Decode(Span(tuple));
+  EXPECT_TRUE(row.ok());
+  return row.ok() ? *row : rts::Row{};
+}
+
+TEST(DirectMappedTableTest, UpsertAndDrain) {
+  GroupLayout layout({DataType::kUint}, {CountSpec()});
+  DirectMappedAggTable table(4, &layout);  // 16 slots
+
+  FoldArg args[1];
+  ByteBuffer ejected;
   for (int i = 0; i < 3; ++i) {
-    auto ejected = table.Upsert({Value::Uint(7)}, args);
-    EXPECT_FALSE(ejected.has_value());
+    EXPECT_FALSE(table.Upsert(Span(UintKey(7)), args, 1, &ejected));
   }
   EXPECT_EQ(table.occupied(), 1u);
   auto drained = table.DrainAll();
   ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].first[0].uint_value(), 7u);
-  EXPECT_EQ(drained[0].second[0].uint_value(), 3u);
+  rts::Row group = DecodeCountGroup(drained[0]);
+  ASSERT_EQ(group.size(), 2u);
+  EXPECT_EQ(group[0].uint_value(), 7u);
+  EXPECT_EQ(group[1].uint_value(), 3u);
   EXPECT_EQ(table.occupied(), 0u);
 }
 
 TEST(DirectMappedTableTest, CollisionEjectsIncumbent) {
-  std::vector<AggregateSpec> specs;
-  AggregateSpec count;
-  count.fn = AggFn::kCount;
-  count.result_type = DataType::kUint;
-  specs.push_back(count);
-  DirectMappedAggTable table(0, &specs);  // 1 slot: every new key collides
+  GroupLayout layout({DataType::kUint}, {CountSpec()});
+  DirectMappedAggTable table(0, &layout);  // 1 slot: every new key collides
 
-  std::vector<std::optional<Value>> args(1);
-  EXPECT_FALSE(table.Upsert({Value::Uint(1)}, args).has_value());
-  auto ejected = table.Upsert({Value::Uint(2)}, args);
-  ASSERT_TRUE(ejected.has_value());
-  EXPECT_EQ(ejected->first[0].uint_value(), 1u);
-  EXPECT_EQ(ejected->second[0].uint_value(), 1u);
+  FoldArg args[1];
+  ByteBuffer ejected;
+  EXPECT_FALSE(table.Upsert(Span(UintKey(1)), args, 1, &ejected));
+  ASSERT_TRUE(table.Upsert(Span(UintKey(2)), args, 1, &ejected));
+  rts::Row group = DecodeCountGroup(ejected);
+  ASSERT_EQ(group.size(), 2u);
+  EXPECT_EQ(group[0].uint_value(), 1u);
+  EXPECT_EQ(group[1].uint_value(), 1u);
   EXPECT_EQ(table.evictions(), 1u);
 }
 
 TEST(DirectMappedTableTest, EvictionRateDropsWithTableSize) {
-  std::vector<AggregateSpec> specs;
-  AggregateSpec count;
-  count.fn = AggFn::kCount;
-  count.result_type = DataType::kUint;
-  specs.push_back(count);
+  GroupLayout layout({DataType::kUint}, {CountSpec()});
 
-  auto run = [&specs](int log2_slots) {
-    DirectMappedAggTable table(log2_slots, &specs);
-    std::vector<std::optional<Value>> args(1);
+  auto run = [&layout](int log2_slots) {
+    DirectMappedAggTable table(log2_slots, &layout);
+    FoldArg args[1];
+    ByteBuffer ejected;
     Rng rng(5);
     for (int i = 0; i < 20000; ++i) {
-      table.Upsert({Value::Uint(rng.NextBelow(256))}, args);
+      table.Upsert(Span(UintKey(rng.NextBelow(256))), args, 1, &ejected);
     }
     return table.evictions();
   };
@@ -426,7 +507,7 @@ class LftaAggregateTest : public ::testing::Test {
   /// The table slot group (tb, key) lands in.
   size_t SlotOf(uint64_t tb, uint64_t key) const {
     rts::Row keys = {Value::Uint(tb), Value::Uint(key)};
-    return RowHash{}(keys) & ((size_t{1} << log2_slots_) - 1);
+    return ValueRowHash(keys) & ((size_t{1} << log2_slots_) - 1);
   }
 
   /// The first `n` keys >= 100 whose groups in bucket `tb` occupy

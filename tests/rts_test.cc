@@ -701,6 +701,60 @@ TEST_P(RingTest, ResyncDiscardsStagedRemainder) {
             "resync_dropped=2");
 }
 
+// A heap ring builds each slot the first time the producer reaches it:
+// slots are reused lap after lap, and a ring destroyed with batches still
+// queued frees exactly the slots it built (under ASan, destroying a slot
+// that was never built, or leaving a built one alive, fails here).
+TEST_P(RingTest, WrapsLapsAndDestroysPartlyBuiltSlots) {
+  auto batch_of = [](uint8_t first, size_t n) {
+    StreamBatch batch;
+    for (size_t i = 0; i < n; ++i) {
+      StreamMessage message = Tuple(static_cast<uint8_t>(first + i));
+      message.payload.resize(64, 0xab);  // a heap payload to own
+      batch.items.push_back(std::move(message));
+    }
+    return batch;
+  };
+  {
+    RingChannel& channel = Ring(4);  // 4 slots, 10 laps
+    uint8_t next = 0;
+    uint8_t expected = 0;
+    for (int lap = 0; lap < 10; ++lap) {
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(channel.TryPush(batch_of(next, 2)));
+        next = static_cast<uint8_t>(next + 2);
+      }
+      StreamBatch out;
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(channel.TryPop(&out));
+        ASSERT_EQ(out.size(), 2u);
+        for (const StreamMessage& message : out.items) {
+          EXPECT_EQ(message.payload[0], expected++);
+        }
+      }
+      ASSERT_TRUE(channel.TryPush(batch_of(next, 1)));
+      next = static_cast<uint8_t>(next + 1);
+      ASSERT_TRUE(channel.TryPop(&out));
+      EXPECT_EQ(out.items[0].payload[0], expected++);
+    }
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(channel.TryPush(batch_of(next, 3)));  // left queued
+    }
+    EXPECT_EQ(channel.size(), 3u);
+  }
+  {
+    RingChannel& channel = Ring(1024);  // only the first 5 slots built
+    for (uint8_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE(channel.TryPush(batch_of(i, 4)));
+    }
+    StreamBatch out;
+    ASSERT_TRUE(channel.TryPop(&out));
+    ASSERT_TRUE(channel.TryPop(&out));
+    EXPECT_EQ(channel.size(), 3u);
+  }
+  Ring(1);  // destroys the previous ring with its queued batches
+}
+
 TEST(RingBackendsTest, RandomOpsKeepCountersIdentical) {
   // Differential check of the two slot stores: one seeded sequence of
   // pushes, drops, parked-punctuation flushes, both pop APIs and resync
